@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .quadrature import chamber_integral
-from .special_functions import constants, h_hat_poly, h_poly, psi, psi_hat
+from .special_functions import _psi_hat_grad, constants, h_hat_poly, h_poly, psi, psi_hat
 
 __all__ = [
     "ModelSpec",
@@ -81,25 +81,41 @@ def km_density(t, x, y, wall=False):
     return float(out) if out.ndim == 0 else out
 
 
-def _survival_matrix(t, x, wall):
-    """Skew matrix whose Pfaffian is the non-collision probability (bordered when N is odd)."""
-    n = len(x)
-    dim = n if n % 2 == 0 else n + 1
-    f = np.zeros((dim, dim))
+def _psi_grad(u):
+    return (2.0 / math.sqrt(math.pi)) * np.exp(-u ** 2)
+
+
+def _survival_matrix(t, xs, wall):
+    """Skew matrices A with Pf(A) = non-collision probability, and D = dA_kj/dx_k.
+
+    xs holds configurations along its last axis; A and D have shape
+    (..., d, d) with d = N, or N + 1 when N is odd (A is then bordered by a
+    last row and column).  D[..., k, j] is the derivative of A[..., k, j] in
+    the coordinate x_k, for k < N.
+    """
+    n = xs.shape[-1]
+    dim = n + n % 2
+    a = np.zeros(xs.shape[:-1] + (dim, dim))
+    d = np.zeros_like(a)
+    i, j = np.triu_indices(n, 1)
     if wall:
-        u = x / math.sqrt(2 * t)
-        for i in range(n):
-            for j in range(i + 1, n):
-                f[i, j] = psi_hat(u[i], u[j])
+        root = math.sqrt(2 * t)
+        u = xs / root
+        a[..., i, j] = psi_hat(u[..., i], u[..., j])
+        g1, g2 = _psi_hat_grad(u[..., i], u[..., j])
+        d[..., i, j] = g1 / root
+        d[..., j, i] = -g2 / root
         if dim > n:
-            f[:n, n] = psi(u)
+            a[..., :n, n] = psi(u)
+            d[..., :n, n] = _psi_grad(u) / root
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                f[i, j] = psi((x[j] - x[i]) / (2 * math.sqrt(t)))
+        root = 2 * math.sqrt(t)
+        z = (xs[..., j] - xs[..., i]) / root
+        a[..., i, j] = psi(z)
+        d[..., i, j] = d[..., j, i] = -_psi_grad(z) / root
         if dim > n:
-            f[:n, n] = 1.0
-    return f - f.T
+            a[..., :n, n] = 1.0
+    return a - np.swapaxes(a, -1, -2), d
 
 
 def survival(t, x, wall=False):
@@ -107,55 +123,20 @@ def survival(t, x, wall=False):
 
     Pfaffian of the pair-kernel matrix; t = 0 returns 1 for interior starts.
     """
-    x = _check_chamber(x, wall)
-    if t < 0:
-        raise ValueError("remaining time must be nonnegative")
-    if t == 0:
-        return 1.0
-    val = linalg.pfaffian(_survival_matrix(t, x, wall))
-    return float(val)
+    return float(survival_batch(t, _check_chamber(x, wall), wall))
 
 
 def survival_batch(t, xs, wall=False):
-    """Vectorized non-collision probability over a batch of configurations, N <= 3.
+    """Non-collision probability of each configuration along the last axis of xs.
 
-    The Pfaffians collapse to short closed forms in these dimensions.
+    One batched Pfaffian of the pair-kernel matrices, for every N.
     """
     xs = np.asarray(xs, dtype=float)
-    n = xs.shape[-1]
-    if t == 0:
-        return np.ones(xs.shape[:-1])
     if t < 0:
         raise ValueError("remaining time must be nonnegative")
-    if not wall:
-        if n == 1:
-            return np.ones(xs.shape[:-1])
-        c = 1.0 / (2 * math.sqrt(t))
-        if n == 2:
-            return psi(c * (xs[..., 1] - xs[..., 0]))
-        if n == 3:
-            p12 = psi(c * (xs[..., 1] - xs[..., 0]))
-            p13 = psi(c * (xs[..., 2] - xs[..., 0]))
-            p23 = psi(c * (xs[..., 2] - xs[..., 1]))
-            return p12 - p13 + p23
-    else:
-        u = xs / math.sqrt(2 * t)
-        if n == 1:
-            return psi(u[..., 0])
-        if n == 2:
-            return psi_hat(u[..., 0], u[..., 1])
-        if n == 3:
-            f12 = psi_hat(u[..., 0], u[..., 1])
-            f13 = psi_hat(u[..., 0], u[..., 2])
-            f23 = psi_hat(u[..., 1], u[..., 2])
-            return f12 * psi(u[..., 2]) - f13 * psi(u[..., 1]) + f23 * psi(u[..., 0])
-    raise ValueError("survival_batch supports N <= 3; use survival per configuration")
-
-
-def _log_pos(v):
-    v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(v)
+    if t == 0:
+        return np.ones(xs.shape[:-1])
+    return linalg.pfaffian(_survival_matrix(t, xs, wall)[0])
 
 
 def g_density(spec, s, x, t, y):
@@ -164,14 +145,13 @@ def g_density(spec, s, x, t, y):
     x=None marks the degenerate origin start (requires s=0), handled by the
     closed form; otherwise the ratio form
     f(t-s, y|x) * survival(T-t, y) / survival(T-s, x) is used.
-    y may carry batch dimensions when N <= 3.
+    y may carry batch dimensions.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     if not (0 <= s < t <= T):
         raise ValueError("need 0 <= s < t <= horizon")
     y = np.asarray(y, dtype=float)
-    batched = y.ndim > 1
-    surv_y = survival_batch(T - t, y, wall) if (batched or n <= 3) else survival(T - t, y, wall)
+    surv_y = survival_batch(T - t, y, wall)
     if x is None:
         if s != 0:
             raise ValueError("the origin start requires s = 0")
@@ -185,7 +165,7 @@ def g_density(spec, s, x, t, y):
             val = pref * gauss * h_poly(y) * surv_y
         return float(val) if np.ndim(val) == 0 else val
     x = _check_chamber(x, wall)
-    surv_x = survival(T - s, x, wall) if n > 3 else float(survival_batch(T - s, x[None, :], wall)[0])
+    surv_x = survival(T - s, x, wall)
     val = km_density(t - s, x, y, wall) * surv_y / surv_x
     return float(val) if np.ndim(val) == 0 else val
 
@@ -216,113 +196,36 @@ def p_density(spec, s, x, t, y):
 # Drifts
 
 
-def _fd_grad_log(fun, x, rel_step=1e-5):
-    """Richardson-extrapolated central difference gradient of log fun."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        h = rel_step * (1.0 + abs(x[i]))
-        vals = {}
-        for step in (h, h / 2):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            vals[step] = (math.log(fun(xp)) - math.log(fun(xm))) / (2 * step)
-        out[i] = (4 * vals[h / 2] - vals[h]) / 3.0
-    return out
-
-
-def drift(spec, t, x, rel_step=1e-5):
-    """Drift vector of the conditioned diffusion at time t.
-
-    Finite horizon: gradient of log survival(T - t, .), by Richardson
-    central differences.  Infinite horizon: the closed interacting form
-    sum_{j != i} 1/(x_i - x_j), plus 1/x_i and 1/(x_i + x_j) terms behind
-    the wall.
-    """
-    n, T, wall = spec.n_walkers, spec.horizon, spec.wall
-    x = _check_chamber(x, wall)
-    if math.isinf(T):
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        b = np.sum(1.0 / diff, axis=1)
-        if wall:
-            s = x[:, None] + x[None, :]
-            np.fill_diagonal(s, np.inf)
-            b = b + 1.0 / x + np.sum(1.0 / s, axis=1)
-        return b
-    if not (t < T):
-        raise ValueError("the finite-horizon drift is singular at t = horizon")
-    tau = T - t
-    h = rel_step * (1.0 + np.abs(x).max())
-    gaps = np.diff(x)
-    margin = min(gaps.min() if len(gaps) else np.inf, x[0] if wall else np.inf)
-    if margin < 10 * h:
-        raise ValueError("configuration too close to the chamber wall for step %g; reduce rel_step" % h)
-    return _fd_grad_log(lambda z: survival(tau, z, wall), x, rel_step)
+def drift(spec, t, x):
+    """Drift vector of the conditioned diffusion at time t, at one configuration."""
+    return drift_batch(spec, t, _check_chamber(x, spec.wall)[None, :])[0]
 
 
 def drift_batch(spec, t, xs):
     """Drift evaluated across a batch of configurations (rows strictly ordered).
 
-    Closed forms are used wherever available (the whole infinite-horizon
-    family; the finite-horizon free family for N <= 3; the wall family for
-    N = 1); other cases fall back to per-row finite differences.
+    Finite horizon: the gradient of log survival(T - t, .), exactly, from
+    d_k log Pf(A) = sum_j (A^-1)_jk dA_kj/dx_k over the survival matrix A.
+    Infinite horizon: the closed interacting form sum_{j != i} 1/(x_i - x_j),
+    plus 1/x_i and 1/(x_i + x_j) terms behind the wall.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     xs = np.asarray(xs, dtype=float)
     if math.isinf(T):
-        diff = xs[:, :, None] - xs[:, None, :]
-        diff[:, np.arange(n), np.arange(n)] = np.inf
-        b = np.sum(1.0 / diff, axis=2)
+        diag = np.arange(n)
+        diff = xs[..., :, None] - xs[..., None, :]
+        diff[..., diag, diag] = np.inf
+        b = np.sum(1.0 / diff, axis=-1)
         if wall:
-            s = xs[:, :, None] + xs[:, None, :]
-            s[:, np.arange(n), np.arange(n)] = np.inf
-            b = b + 1.0 / xs + np.sum(1.0 / s, axis=2)
+            s = xs[..., :, None] + xs[..., None, :]
+            s[..., diag, diag] = np.inf
+            b = b + 1.0 / xs + np.sum(1.0 / s, axis=-1)
         return b
-    tau = T - t
-    root_pi = math.sqrt(math.pi)
-    if not wall and n == 1:
-        return np.zeros_like(xs)
-    if not wall and n == 2:
-        d = xs[:, 1] - xs[:, 0]
-        c = 1.0 / (2 * math.sqrt(tau))
-        phi = (2.0 / root_pi) * c * np.exp(-((c * d) ** 2)) / psi(c * d)
-        return np.stack([-phi, phi], axis=1)
-    if not wall and n == 3:
-        c = 1.0 / (2 * math.sqrt(tau))
-        surv = survival_batch(tau, xs, wall=False)
-
-        def e(i, j):
-            return (2.0 / root_pi) * c * np.exp(-((c * (xs[:, j] - xs[:, i])) ** 2))
-
-        e12, e13, e23 = e(0, 1), e(0, 2), e(1, 2)
-        grad = np.stack([-e12 + e13, e12 - e23, -e13 + e23], axis=1)
-        return grad / surv[:, None]
-    if wall and n == 1:
-        u = xs[:, 0] / math.sqrt(2 * tau)
-        phi = (2.0 / root_pi) * np.exp(-u ** 2) / (math.sqrt(2 * tau) * psi(u))
-        return phi[:, None]
-    if n <= 3:
-        # vectorized central differences on the closed-form survival,
-        # step capped per row by the distance to the chamber boundary
-        margin = np.diff(xs, axis=1).min(axis=1)
-        if wall:
-            margin = np.minimum(margin, xs[:, 0])
-        h = np.minimum(1e-5 * (1.0 + np.abs(xs).max(axis=1)), 0.05 * margin)
-        out = np.empty_like(xs)
-        for i in range(n):
-            shift = np.zeros_like(xs)
-            shift[:, i] = h
-            sp = survival_batch(tau, xs + shift, wall)
-            sm = survival_batch(tau, xs - shift, wall)
-            out[:, i] = (np.log(sp) - np.log(sm)) / (2 * h)
-        return out
-    out = np.empty_like(xs)
-    for r in range(xs.shape[0]):
-        out[r] = drift(spec, t, xs[r])
-    return out
+    if not (t < T):
+        raise ValueError("the finite-horizon drift is singular at t = horizon")
+    a, d = _survival_matrix(T - t, xs, wall)
+    inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
+    return np.sum(inv_t[..., :n, :] * d[..., :n, :], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +310,6 @@ def de_bruijn_check(n, kernel, x, order=120, span=7.0):
         return np.linalg.det(mats)
 
     integral = chamber_integral(integrand, n, lo, hi, order=order)
-
-    dim = n if n % 2 == 0 else n + 1
-    f = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if wall:
-                f[i, j] = psi_hat(x[i], x[j])
-            else:
-                f[i, j] = psi((x[j] - x[i]) / math.sqrt(2.0))
-    if dim > n:
-        f[:n, n] = psi(x) if wall else 1.0
-    pf = linalg.pfaffian(f - f.T)
+    # at t = 1/2 the survival scalings give u = x and (x_j - x_i)/sqrt(2)
+    pf = survival(0.5, x, wall)
     return abs(integral - pf) / abs(pf)

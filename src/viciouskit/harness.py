@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
+from .quadrature import ordered_grid
 from .special_functions import _gl_nodes
 
 __all__ = [
@@ -160,10 +161,10 @@ def marginalize(density, n, coordinate, grid, lo, hi, order=80):
         vals = np.empty_like(grid)
         for i, g in enumerate(grid):
             if coordinate == 0:
-                pts2, w2 = _ordered2(g, hi, order)
+                pts2, w2 = ordered_grid(2, g, hi, order)
                 pts = np.concatenate([np.full(pts2.shape[:-1] + (1,), g), pts2], axis=-1)
             elif coordinate == 2:
-                pts2, w2 = _ordered2(lo, g, order)
+                pts2, w2 = ordered_grid(2, lo, g, order)
                 pts = np.concatenate([pts2, np.full(pts2.shape[:-1] + (1,), g)], axis=-1)
             else:
                 ya, wa = _gl(lo, g, order)
@@ -176,12 +177,6 @@ def marginalize(density, n, coordinate, grid, lo, hi, order=80):
         raise ValueError("marginalize supports n <= 3")
     drift = abs(float(np.trapezoid(vals, grid)) - 1.0)
     return vals, drift
-
-
-def _ordered2(lo, hi, order):
-    from .quadrature import ordered_grid
-
-    return ordered_grid(2, lo, hi, order)
 
 
 def marginal_cdf(density, n, coordinate, lo, hi, grid_size=400, order=80):
@@ -214,12 +209,9 @@ def _report(name, residual, tol, n=0, **md):
 
 
 def _suite_identities(samples, seed):
-    import math as _m
-
     from .combinatorics import LatticeConfig, scaled_survival
     from .densities import (ModelSpec, de_bruijn_check, g_density, imhof_check,
                             p_density, survival_asymptotics)
-    from .quadrature import ordered_grid
     from .rmt import eigen_density
     from .special_functions import mehta_integral, mehta_integral_quadrature
 
@@ -232,7 +224,7 @@ def _suite_identities(samples, seed):
         pts, wts = ordered_grid(2, lo, 8.0, order=120)
         flat = pts.reshape(-1, 2)
         for fam, f in (("g", g_density), ("p", p_density)):
-            spec = ModelSpec(2, horizon=2.0 if fam == "g" else _m.inf, wall=wall)
+            spec = ModelSpec(2, horizon=2.0 if fam == "g" else math.inf, wall=wall)
             dens = f(spec, 0.0, None, 1.0, flat).reshape(wts.shape)
             out.append(_report("normalization_%s%s_n2" % (fam, "_wall" if wall else ""),
                                abs(float((dens * wts).sum()) - 1.0), 1e-6))
@@ -345,8 +337,6 @@ def _suite_combinatorics(samples, seed):
 
 
 def _suite_montecarlo(samples, seed):
-    import math as _m
-
     from .combinatorics import LatticeConfig, survival_probability
     from .densities import ModelSpec, survival
     from .montecarlo import (SimConfig, endpoint_values, noncollision_mc,
@@ -362,7 +352,7 @@ def _suite_montecarlo(samples, seed):
                         samples=min(samples, 2000), seed=seed)
         ens = simulate_walkers(cfg)
         exact = float(survival_probability(2, cfg.start))
-        se = _m.sqrt(exact * (1 - exact) / ens.proposed)
+        se = math.sqrt(exact * (1 - exact) / ens.proposed)
         out.append(_report("walker_acceptance%s" % ("_wall" if wall else ""),
                            abs(ens.accepted / ens.proposed - exact), 3 * se,
                            ens.proposed, exact=exact))
@@ -374,7 +364,7 @@ def _suite_montecarlo(samples, seed):
         est, se = noncollision_mc(1.0, x, samples=min(samples * 4, 40_000),
                                   step=step, wall=wall, seed=seed)
         exact = survival(1.0, np.array(x, dtype=float), wall)
-        allowance = 0.5 * _m.sqrt(step)
+        allowance = 0.5 * math.sqrt(step)
         out.append(_report("noncollision_n%d%s" % (n, "_wall" if wall else ""),
                            abs(est - exact), 3 * se + allowance, metadata={"exact": exact}))
 
@@ -397,9 +387,9 @@ def _suite_montecarlo(samples, seed):
     cfgw = SimConfig("walker", spec, start=LatticeConfig((0, 2)), scale=L,
                      samples=min(samples, 4000), seed=seed)
     ensw = simulate_walkers(cfgw)
-    gap = (endpoint_values(ensw, 1) - endpoint_values(ensw, 0)) / _m.sqrt(2)
+    gap = (endpoint_values(ensw, 1) - endpoint_values(ensw, 0)) / math.sqrt(2)
     cdf = walker_gap_cdf(2.0 / L, float(ensw.time_grid[-1]))
-    spacing = 2.0 / (L * _m.sqrt(2))
+    spacing = 2.0 / (L * math.sqrt(2))
     grid = (np.arange(6 * L) + 0.5) * spacing
     out.append(ks_test(gap, cdf, level=level, name="walker_gap_fclt_L16",
                        eval_points=grid))
@@ -429,9 +419,6 @@ def walker_gap_cdf(start_gap, t):
 
 
 def _suite_rmt(samples, seed):
-    import math as _m
-
-    from .quadrature import ordered_grid
     from .rmt import eigen_density, pm_bridge_check, sample_ensemble
 
     out = []

@@ -30,46 +30,49 @@ def skew_from_upper(upper):
 
 
 def pfaffian(a, atol=1e-12):
-    """Pfaffian of an even-dimensional skew-symmetric matrix.
+    """Pfaffian of even-dimensional skew-symmetric matrices, batched over leading axes.
 
     Skew elimination with pivoting on the largest magnitude in the working
-    column; satisfies pfaffian(a)^2 = det(a).
+    column; satisfies pfaffian(a)^2 = det(a).  A (..., n, n) input gives an
+    array of shape (...); a 2-D input gives a float.  A matrix whose working
+    column vanishes has Pfaffian 0.
     """
     a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
+    n = a.shape[-1]
     if n % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
-    scale = np.abs(a).max() if n else 0.0
-    if not np.allclose(a, -a.T, atol=atol * max(scale, 1.0)):
+    scale = np.abs(a).max() if a.size else 0.0
+    if not np.allclose(a, -np.swapaxes(a, -1, -2), atol=atol * max(scale, 1.0)):
         raise ValueError("matrix is not skew-symmetric")
-    if n == 0:
-        return 1.0
-
-    pf = 1.0
+    batch = a.shape[:-2]
+    a = a.reshape((int(np.prod(batch)), n, n))
+    rows = np.arange(a.shape[0])
+    pf = np.ones(a.shape[0])
+    zero = np.zeros(a.shape[0], dtype=bool)
     for k in range(0, n - 2, 2):
         # pivot: bring the largest |a[k, j]|, j > k, into position k+1
-        col = np.abs(a[k, k + 1:])
-        j = k + 1 + int(np.argmax(col))
-        if col.max() == 0.0:
-            return 0.0
-        if j != k + 1:
-            a[[k + 1, j], :] = a[[j, k + 1], :]
-            a[:, [k + 1, j]] = a[:, [j, k + 1]]
-            pf = -pf
-        pivot = a[k, k + 1]
+        col = np.abs(a[:, k, k + 1:])
+        j = k + 1 + np.argmax(col, axis=1)
+        zero |= col.max(axis=1) == 0.0
+        swap = j != k + 1
+        if swap.any():
+            perm = np.broadcast_to(np.arange(n), a.shape[:2]).copy()
+            perm[:, k + 1] = j
+            perm[rows, j] = k + 1
+            a = np.take_along_axis(a, perm[:, :, None], axis=1)
+            a = np.take_along_axis(a, perm[:, None, :], axis=2)
+            pf[swap] = -pf[swap]
+        pivot = np.where(zero, 1.0, a[:, k, k + 1])
         pf *= pivot
         # eliminate the rest of row/column k and k+1
-        tail = slice(k + 2, n)
-        u = a[k, tail] / pivot
-        v = a[k + 1, tail] / pivot
-        a[np.ix_(range(k + 2, n), range(k + 2, n))] += np.outer(v, a[k, tail]) - np.outer(u, a[k + 1, tail])
-        a[k, tail] = 0.0
-        a[tail, k] = 0.0
-        a[k + 1, tail] = 0.0
-        a[tail, k + 1] = 0.0
-    return pf * a[n - 2, n - 1]
+        u = a[:, k, k + 2:] / pivot[:, None]
+        v = a[:, k + 1, k + 2:] / pivot[:, None]
+        a[:, k + 2:, k + 2:] += (v[:, :, None] * a[:, k, None, k + 2:]
+                                 - u[:, :, None] * a[:, k + 1, None, k + 2:])
+    out = np.where(zero, 0.0, pf * a[:, n - 2, n - 1]) if n else pf
+    return float(out[0]) if not batch else out.reshape(batch)
 
 
 def symmetric_eigenvalues(m, atol=1e-12):

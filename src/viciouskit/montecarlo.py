@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import LatticeConfig, time_lattice
-from .densities import ModelSpec, drift_batch, survival, survival_batch
+from .densities import ModelSpec, drift_batch, survival_batch
 from .linalg import symmetric_eigenvalues
 from .special_functions import constants, h_hat_poly, h_poly
 
@@ -240,12 +240,6 @@ def _rejection_fill(propose, accept_prob, rng, samples, n, max_rounds=500):
     return out
 
 
-def _survival_rows(t, ys, wall):
-    if ys.shape[-1] <= 3:
-        return survival_batch(t, ys, wall)
-    return np.array([survival(t, row, wall) for row in ys])
-
-
 def sample_origin_law(spec, t, samples, rng):
     """Exact draws from the origin-start transition density at time t.
 
@@ -270,7 +264,7 @@ def sample_origin_law(spec, t, samples, rng):
             propose = lambda k: _wishart_sqrt_spectra(rng, n, t, k)
         else:
             propose = lambda k: _goe_eigs(rng, n, t, k)
-        accept = lambda y: _survival_rows(tau, y, wall)
+        accept = lambda y: survival_batch(tau, y, wall)
         return _rejection_fill(propose, accept, rng, samples, n)
     # short-time branch: the h^2-weighted proposal cancels the vanishing
     # survival factor; accept with survival / small-gap prediction, which
@@ -285,7 +279,7 @@ def sample_origin_law(spec, t, samples, rng):
         pred = lambda y: h_poly(y / math.sqrt(tau)) / consts.c_bar
 
     def accept(y):
-        ratio = _survival_rows(tau, y, wall) / pred(y)
+        ratio = survival_batch(tau, y, wall) / pred(y)
         if np.any(ratio > envelope):
             raise RuntimeError("survival exceeded its small-gap envelope")
         return ratio / envelope

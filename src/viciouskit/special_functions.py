@@ -45,12 +45,13 @@ def _gl_nodes(order):
     return _GL_CACHE[order]
 
 
-def _gl_integrate(f, a, b, order=32, panels=8):
-    """Composite Gauss-Legendre integral of f over [a, b].
+def _gl_integrate(f, a, b):
+    """Composite Gauss-Legendre integral of f over [a, b]: 8 panels of 32 nodes.
 
     a, b may be arrays (broadcast); f must accept arrays.
     """
-    xi, wi = _gl_nodes(order)
+    panels = 8
+    xi, wi = _gl_nodes(32)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     edges = np.linspace(0.0, 1.0, panels + 1)
     total = np.zeros(a.shape)
@@ -67,7 +68,7 @@ def _gl_integrate(f, a, b, order=32, panels=8):
     return total
 
 
-def psi_hat(u1, u2, order=32, panels=8):
+def psi_hat(u1, u2):
     """Two-rectangle double integral kernel for the wall survival Pfaffian.
 
     (2/pi) [ int_0^{u1} dv1 int_{u1-u2}^{u2-u1} dv2 e^{-v1^2-(v1-v2)^2}
@@ -89,9 +90,31 @@ def psi_hat(u1, u2, order=32, panels=8):
     def inner2(v1):
         return np.exp(-v1 ** 2) * (erf(v1 - (u2 - u1)) - erf(v1 - (u1 + u2)))
 
-    t1 = _gl_integrate(inner1, np.zeros_like(u1), u1, order, panels)
-    t2 = _gl_integrate(inner2, u1, u2, order, panels)
+    t1 = _gl_integrate(inner1, np.zeros_like(u1), u1)
+    t2 = _gl_integrate(inner2, u1, u2)
     return (t1 - t2) / math.sqrt(math.pi)
+
+
+def _psi_hat_grad(u1, u2):
+    """Partial derivatives (d/du1, d/du2) of psi_hat, in closed form.
+
+    Differentiating the integration limits leaves one-dimensional Gaussian
+    integrals G(c; a, b) = int_a^b e^{-v^2-(v-c)^2} dv, which are erf
+    differences.  Same domain as psi_hat; no check is repeated here.
+    """
+    r2 = math.sqrt(2.0)
+
+    def gauss(c, a, b):
+        return (math.sqrt(math.pi / 8) * np.exp(-c * c / 2)
+                * (erf(r2 * (b - c / 2)) - erf(r2 * (a - c / 2))))
+
+    d, s = u2 - u1, u1 + u2
+    both = gauss(-d, 0.0, u1) + gauss(d, 0.0, u1) + gauss(d, u1, u2)
+    outer = gauss(s, u1, u2)
+    root_pi = math.sqrt(math.pi)
+    g1 = 2 * np.exp(-u1 ** 2) * erf(u2) - (2 / root_pi) * (both + outer)
+    g2 = -2 * np.exp(-u2 ** 2) * erf(u1) + (2 / root_pi) * (both - outer)
+    return g1 / root_pi, g2 / root_pi
 
 
 def h_poly(x):
@@ -357,9 +380,7 @@ def mehta_integral_quadrature(n, gamma, a, weight="plain", order=80, span=9.0):
 
         # integrand is symmetric under u -> -u coordinatewise; restrict to the
         # positive ordered sector and multiply by 2^n n!
-        from .quadrature import chamber_integral as _ci
-
-        val = _ci(f, n, 0.0, span, order=order)
+        val = chamber_integral(f, n, 0.0, span, order=order)
         return val * math.factorial(n) * 2 ** n
     else:
         raise ValueError("unknown weight %r" % (weight,))

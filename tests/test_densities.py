@@ -7,7 +7,7 @@ from viciouskit.densities import (ModelSpec, de_bruijn_check, drift, drift_batch
                                   g_density, imhof_check, km_density, p_density,
                                   survival, survival_asymptotics, survival_batch)
 from viciouskit.quadrature import ordered_grid
-from viciouskit.special_functions import h_hat_poly, h_poly, psi
+from viciouskit.special_functions import h_hat_poly, h_poly, psi, psi_hat
 
 
 def test_km_density_single_particle_is_heat_kernel():
@@ -29,14 +29,43 @@ def test_survival_two_walkers_closed_form():
     assert survival(0.0, x) == 1.0
 
 
+def _survival_closed_form(t, xs, wall):
+    """The N <= 3 Pfaffians expanded by hand: an oracle independent of linalg.pfaffian."""
+    n = xs.shape[-1]
+    if not wall:
+        if n == 1:
+            return np.ones(xs.shape[:-1])
+        c = 1.0 / (2 * math.sqrt(t))
+        if n == 2:
+            return psi(c * (xs[..., 1] - xs[..., 0]))
+        if n == 3:
+            p12 = psi(c * (xs[..., 1] - xs[..., 0]))
+            p13 = psi(c * (xs[..., 2] - xs[..., 0]))
+            p23 = psi(c * (xs[..., 2] - xs[..., 1]))
+            return p12 - p13 + p23
+    else:
+        u = xs / math.sqrt(2 * t)
+        if n == 1:
+            return psi(u[..., 0])
+        if n == 2:
+            return psi_hat(u[..., 0], u[..., 1])
+        if n == 3:
+            f12 = psi_hat(u[..., 0], u[..., 1])
+            f13 = psi_hat(u[..., 0], u[..., 2])
+            f23 = psi_hat(u[..., 1], u[..., 2])
+            return f12 * psi(u[..., 2]) - f13 * psi(u[..., 1]) + f23 * psi(u[..., 0])
+    raise ValueError("closed forms cover N <= 3")
+
+
 def test_survival_batch_matches_pfaffian():
     rng = np.random.Generator(np.random.Philox(key=[3, 0]))
     for n in (1, 2, 3):
         for wall in (False, True):
             xs = np.sort(rng.random((20, n)) * 3 + (0.05 if wall else -1.0), axis=1)
-            batch = survival_batch(0.7, xs, wall)
-            for row, b in zip(xs, batch):
-                assert b == pytest.approx(survival(0.7, row, wall), rel=1e-10)
+            oracle = _survival_closed_form(0.7, xs, wall)
+            np.testing.assert_allclose(survival_batch(0.7, xs, wall), oracle, rtol=1e-10)
+            for row, ref in zip(xs, oracle):
+                assert survival(0.7, row, wall) == pytest.approx(ref, rel=1e-10)
 
 
 def test_survival_monotone_in_time():
@@ -91,15 +120,24 @@ def test_imhof_identity_randomized():
                 assert imhof_check(spec, times, pts) < 1e-8
 
 
+def _two_walker_drift(tau, x):
+    """Free N = 2 finite-horizon drift: d/dx log erf(c (x_2 - x_1)), c = 1/(2 sqrt(tau))."""
+    c = 1.0 / (2 * math.sqrt(tau))
+    d = x[1] - x[0]
+    phi = (2.0 / math.sqrt(math.pi)) * c * math.exp(-((c * d) ** 2)) / math.erf(c * d)
+    return np.array([-phi, phi])
+
+
 def test_drift_two_walker_closed_form_vs_finite_difference():
     spec = ModelSpec(2, horizon=3.0)
     x = np.array([-0.2, 0.4])
-    fd = drift(spec, 1.0, x)
-    closed = drift_batch(spec, 1.0, x[None, :])[0]
-    np.testing.assert_allclose(fd, closed, rtol=1e-6)
+    closed = _two_walker_drift(2.0, x)
+    np.testing.assert_allclose(drift(spec, 1.0, x), closed, rtol=1e-12)
+    batch = drift_batch(spec, 1.0, x[None, :])[0]
+    np.testing.assert_allclose(batch, closed, rtol=1e-12)
     # antisymmetric pair drift pushing the walkers apart
-    assert closed[0] < 0 < closed[1]
-    assert closed[0] == pytest.approx(-closed[1], rel=1e-12)
+    assert batch[0] < 0 < batch[1]
+    assert batch[0] == pytest.approx(-batch[1], rel=1e-12)
 
 
 def test_drift_infinite_horizon_closed_forms():
@@ -132,12 +170,46 @@ def test_drift_batch_matches_pointwise():
             np.testing.assert_allclose(b, drift(spec, 0.5, row), rtol=1e-4, atol=1e-6)
 
 
+def _richardson_grad_log(fun, xs, h=1e-3):
+    """Richardson-extrapolated central differences of log fun, per row of xs."""
+    out = np.empty_like(xs)
+    for k in range(xs.shape[1]):
+        step = np.zeros(xs.shape[1])
+        step[k] = 1.0
+
+        def central(s):
+            return (np.log(fun(xs + s * step)) - np.log(fun(xs - s * step))) / (2 * s)
+
+        out[:, k] = (4 * central(h / 2) - central(h)) / 3
+    return out
+
+
+def test_drift_matches_log_survival_difference():
+    rng = np.random.Generator(np.random.Philox(key=[4, 0]))
+    for n in (1, 2, 3, 4):
+        for wall in (False, True):
+            spec = ModelSpec(n, horizon=2.0, wall=wall)
+            xs = np.sort(rng.random((5, n)) * 2 + (0.2 if wall else -1.0), axis=1)
+            xs += np.arange(n) * 0.3
+            b = drift_batch(spec, 0.5, xs)
+            fd = _richardson_grad_log(lambda z: survival_batch(1.5, z, wall), xs)
+            assert np.max(np.abs(b - fd) / (np.abs(b) + 1e-3)) <= 1e-4
+
+
 def test_drift_guard_near_boundary():
     spec = ModelSpec(2, horizon=1.0)
-    with pytest.raises(ValueError):
-        drift(spec, 0.5, np.array([0.0, 1e-9]))
+    x = np.array([0.0, 1e-9])
+    np.testing.assert_allclose(drift(spec, 0.5, x), _two_walker_drift(0.5, x), rtol=1e-12)
     with pytest.raises(ValueError):
         drift(spec, 1.0, np.array([0.0, 1.0]))     # singular at the horizon
+
+
+def test_g_density_batched_beyond_three_walkers():
+    spec = ModelSpec(4, horizon=2.0)
+    ys = np.array([[-1.0, 0.0, 0.5, 1.5], [-0.5, 0.2, 0.9, 2.0]])
+    vals = g_density(spec, 0.0, np.array([-1.0, 0.0, 1.0, 2.0]), 1.0, ys)
+    # per-row values of the scalar Pfaffian path
+    np.testing.assert_allclose(vals, [0.0028154753637753033, 0.004090951742895522], rtol=1e-12)
 
 
 @pytest.mark.parametrize("wall", [False, True])

@@ -53,6 +53,18 @@ def test_pfaffian_singular_matrix():
     assert pfaffian(a) == 0.0
 
 
+def test_pfaffian_batched_stack():
+    a = _skew6()
+    perm = [1, 0, 2, 3, 4, 5]
+    singular = np.zeros((6, 6))
+    singular[0, 1] = 1.0
+    singular[1, 0] = -1.0
+    out = pfaffian(np.stack([a, a[np.ix_(perm, perm)], singular]))
+    assert out.shape == (3,)
+    np.testing.assert_allclose(out, [FROZEN_PF, -FROZEN_PF, 0.0], rtol=1e-12)
+    assert out[2] == 0.0
+
+
 def test_determinant_delegates():
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
     assert determinant(m) == pytest.approx(5.0)

@@ -140,6 +140,14 @@ def test_sde_ordering_is_hard():
     assert ens.time_grid[-1] <= 1.0 * (1 - 1e-4) + 1e-12
 
 
+def test_sde_g_near_collision_start_beyond_three_walkers():
+    cfg = SimConfig("sde-g", ModelSpec(4, horizon=1.0), start=np.array([0.0, 1.0, 1.0 + 1e-6, 3.0]),
+                    t_end=0.1, step=1e-2, samples=20, seed=3)
+    ens = simulate_sde(cfg)
+    assert np.all(np.isfinite(ens.paths))
+    assert np.all(ens.paths[:, 1:, :] > ens.paths[:, :-1, :])
+
+
 def test_sde_interior_start_brownian_variance():
     # single free walker: pure Brownian motion
     ens = simulate_sde(SimConfig("sde-p", ModelSpec(1), start=np.array([0.0]),
