@@ -211,6 +211,8 @@ def drift_batch(spec, t, xs):
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     xs = np.asarray(xs, dtype=float)
+    if wall and np.any(xs[..., 0] <= 0):
+        raise ValueError("configuration lies on the wall (x_1 <= 0): the drift is undefined there")
     if math.isinf(T):
         diag = np.arange(n)
         diff = xs[..., :, None] - xs[..., None, :]

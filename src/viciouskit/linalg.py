@@ -1,21 +1,13 @@
-"""Dense determinants, Pfaffians, and a Hermitian eigensolver.
+"""Pfaffians and a Hermitian eigensolver.
 
-Determinants and spectra are delegated to LAPACK through numpy; the
-Pfaffian uses skew-symmetric (Parlett-Reid style) elimination with
-pivoting, since no standard library routine exists for it.
+Spectra are delegated to LAPACK through numpy; the Pfaffian uses
+skew-symmetric (Parlett-Reid style) elimination with pivoting, since no
+standard library routine exists for it.
 """
 
 import numpy as np
 
-__all__ = ["determinant", "skew_from_upper", "pfaffian", "symmetric_eigenvalues"]
-
-
-def determinant(m):
-    """Determinant by LU with partial pivoting."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("matrix must be square")
-    return np.linalg.det(m)
+__all__ = ["skew_from_upper", "pfaffian", "symmetric_eigenvalues"]
 
 
 def skew_from_upper(upper):

@@ -8,7 +8,7 @@ statistics harness.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,17 +181,20 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
 
 # ---------------------------------------------------------------------------
 # Exact origin-law samplers (warm starts)
+#
+# The GOE/GUE matrix builders also serve rmt.sample_ensemble.
 
 
-def _goe_eigs(rng, n, variance, draws):
+def _goe_matrices(rng, n, variance, draws):
     g = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
-    return symmetric_eigenvalues((g + np.swapaxes(g, 1, 2)) / 2.0)
+    return (g + np.swapaxes(g, 1, 2)) / 2.0
 
 
-def _gue_eigs(rng, n, variance, draws):
-    g = rng.normal(scale=math.sqrt(variance), size=(draws, n, n)) \
-        + 1j * rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
-    return symmetric_eigenvalues((g + np.conj(np.swapaxes(g, 1, 2))) / 2.0)
+def _gue_matrices(rng, n, variance, draws):
+    x = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
+    y = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
+    g = x + 1j * y
+    return (g + np.conj(np.swapaxes(g, 1, 2))) / 2.0
 
 
 def _antisym_spectra(rng, n, variance, draws):
@@ -255,7 +258,7 @@ def sample_origin_law(spec, t, samples, rng):
     if math.isinf(T):
         if wall:
             return _antisym_spectra(rng, n, t, samples)
-        return _gue_eigs(rng, n, t, samples)
+        return symmetric_eigenvalues(_gue_matrices(rng, n, t, samples))
     tau = T - t
     if t > T / 2:
         # proposal already weighted by one h factor; thinning by the
@@ -263,7 +266,7 @@ def sample_origin_law(spec, t, samples, rng):
         if wall:
             propose = lambda k: _wishart_sqrt_spectra(rng, n, t, k)
         else:
-            propose = lambda k: _goe_eigs(rng, n, t, k)
+            propose = lambda k: symmetric_eigenvalues(_goe_matrices(rng, n, t, k))
         accept = lambda y: survival_batch(tau, y, wall)
         return _rejection_fill(propose, accept, rng, samples, n)
     # short-time branch: the h^2-weighted proposal cancels the vanishing
@@ -275,7 +278,7 @@ def sample_origin_law(spec, t, samples, rng):
         propose = lambda k: _antisym_spectra(rng, n, t, k)
         pred = lambda y: h_hat_poly(y / math.sqrt(tau)) / consts.c_tilde
     else:
-        propose = lambda k: _gue_eigs(rng, n, t, k)
+        propose = lambda k: symmetric_eigenvalues(_gue_matrices(rng, n, t, k))
         pred = lambda y: h_poly(y / math.sqrt(tau)) / consts.c_bar
 
     def accept(y):
@@ -384,7 +387,7 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    if np.any(np.diff(x) <= 0) or (wall and x[0] < 0):
+    if np.any(np.diff(x) <= 0) or (wall and x[0] <= 0):
         raise ValueError("start must be an interior chamber point")
     n_steps = max(int(math.ceil(t / step)), 1)
     dt = t / n_steps

@@ -6,19 +6,19 @@ rescaled finite-horizon endpoint law with the interpolating ensemble.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ModelSpec, g_density, survival_batch
+from .densities import ModelSpec
 from .linalg import symmetric_eigenvalues
+from .montecarlo import _goe_matrices, _gue_matrices, sample_origin_law
 from .special_functions import constants, h_poly
 
 __all__ = [
     "SpectrumSample",
     "sample_ensemble",
     "eigen_density",
-    "sample_finite_horizon_endpoint",
     "pm_bridge_check",
 ]
 
@@ -34,18 +34,6 @@ class SpectrumSample:
 
 def _rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
-
-
-def _goe_matrices(rng, n, variance, samples):
-    g = rng.normal(scale=math.sqrt(variance), size=(samples, n, n))
-    return (g + np.swapaxes(g, 1, 2)) / 2.0
-
-
-def _gue_matrices(rng, n, variance, samples):
-    x = rng.normal(scale=math.sqrt(variance), size=(samples, n, n))
-    y = rng.normal(scale=math.sqrt(variance), size=(samples, n, n))
-    g = x + 1j * y
-    return (g + np.conj(np.swapaxes(g, 1, 2))) / 2.0
 
 
 def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
@@ -107,43 +95,14 @@ def eigen_density(kind, x, variance=1.0):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def sample_finite_horizon_endpoint(n, horizon, t, samples, seed=0, max_rounds=200):
-    """Exact draws from the finite-horizon origin-start law at time t, N <= 3.
-
-    Rejection with GOE(variance=t) eigenvalues as the proposal: the
-    acceptance probability is exactly the non-collision probability of the
-    remaining window, which is at most one, so no envelope constant is
-    needed.
-    """
-    if not (0 < t <= horizon):
-        raise ValueError("need 0 < t <= horizon")
-    if n > 3:
-        raise ValueError("endpoint sampler supports N <= 3")
-    rng = _rng(seed, stream=1)
-    out = np.empty((samples, n))
-    got = 0
-    for _ in range(max_rounds):
-        need = samples - got
-        draw = max(2 * need, 1000)
-        y = symmetric_eigenvalues(_goe_matrices(rng, n, t, draw))
-        accept = rng.random(draw) < survival_batch(horizon - t, y, wall=False)
-        y = y[accept]
-        take = min(len(y), need)
-        out[got:got + take] = y[:take]
-        got += take
-        if got == samples:
-            return out
-    raise RuntimeError("rejection sampler failed to reach the requested sample count")
-
-
 def pm_bridge_check(n, horizon, t, samples=10_000, seed=0, level=0.01):
     """Two-sample comparison of the rescaled endpoint law with the PM ensemble.
 
     Side (a): eigenvalues of the interpolating ensemble at
-    alpha = sqrt((T-t)/T).  Side (b): endpoint draws at time t rescaled by
-    sqrt(T/(t(2T-t))).  A single global scale is fitted by matching second
-    moments and reported alongside the per-coordinate and top-eigenvalue
-    KS verdicts.
+    alpha = sqrt((T-t)/T).  Side (b): exact origin-start endpoint draws at
+    time t (sample_origin_law, any N) rescaled by sqrt(T/(t(2T-t))).  A
+    single global scale is fitted by matching second moments and reported
+    alongside the per-coordinate and top-eigenvalue KS verdicts.
     """
     from .harness import ks_two_sample
 
@@ -151,7 +110,7 @@ def pm_bridge_check(n, horizon, t, samples=10_000, seed=0, level=0.01):
         raise ValueError("need 0 < t < horizon")
     alpha = math.sqrt((horizon - t) / horizon)
     pm = sample_ensemble("PM", n, alpha=alpha, samples=samples, seed=seed).eigenvalues
-    endpoint = sample_finite_horizon_endpoint(n, horizon, t, samples, seed=seed + 1)
+    endpoint = sample_origin_law(ModelSpec(n, horizon=horizon), t, samples, _rng(seed + 1))
     rescaled = endpoint * math.sqrt(horizon / (t * (2 * horizon - t)))
     scale = math.sqrt(np.mean(rescaled ** 2) / np.mean(pm ** 2))
     pm_scaled = pm * scale

@@ -2,8 +2,8 @@
 
 Holds the Gaussian mass function psi, the two-rectangle wall kernel
 psi_hat, the Vandermonde-type chamber polynomials, Schur and symplectic
-characters with confluent evaluation, the model constants, and the two
-Mehta-type Gaussian integrals.
+characters, the model constants, and the two Mehta-type Gaussian
+integrals.
 """
 
 import math
@@ -140,71 +140,27 @@ def h_hat_poly(x):
 
 
 # ---------------------------------------------------------------------------
-# Alternant ratios (Schur / symplectic characters)
-#
-# Each column is a short list of monomial terms (coeff, power); the ratio of
-# two alternants det(f_j(z_i)) / det(g_j(z_i)) is evaluated directly when the
-# nodes are well separated, and through Hermite divided differences (the
-# common Vandermonde factors cancel) when nodes nearly coincide.
+# Schur / symplectic characters (Jacobi-Trudi determinants)
 
 
-def _monomial_dd(nodes, terms):
-    """Divided-difference column for f(z) = sum c * z^p over possibly repeated nodes.
+def _complete_homogeneous(z, kmax):
+    """h_0, ..., h_kmax of the variables z.
 
-    Uses the Hermite-Newton table; confluent entries are f^{(k)}(z)/k!.
+    Adds one variable at a time,
+    h_k(z_1..z_r) = h_k(z_1..z_{r-1}) + z_r h_{k-1}(z_1..z_r),
+    so for positive z every step sums positive terms (no division).
     """
-    n = len(nodes)
-
-    def deriv(z, k):
-        tot = 0.0
-        for c, p in terms:
-            fall = 1.0
-            for r in range(k):
-                fall *= (p - r)
-            tot += c * fall * z ** (p - k)
-        return tot
-
-    # standard Hermite divided-difference triangle
-    table = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        table[i][0] = deriv(nodes[i], 0)
-    for j in range(1, n):
-        for i in range(n - j):
-            if nodes[i + j] == nodes[i]:
-                table[i][j] = deriv(nodes[i], j) / math.factorial(j)
-            else:
-                table[i][j] = (table[i + 1][j - 1] - table[i][j - 1]) / (nodes[i + j] - nodes[i])
-    return [table[0][j] for j in range(n)]
+    h = np.zeros(kmax + 1)
+    h[0] = 1.0
+    for v in z:
+        for k in range(1, kmax + 1):
+            h[k] += v * h[k - 1]
+    return h
 
 
-def _alternant_ratio(z, num_cols, den_cols, coincident_tol=1e-6):
-    """det(num_cols_j(z_i)) / det(den_cols_j(z_i)) with confluent fallback."""
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    scale = np.max(np.abs(z))
-    gaps = np.abs(z[:, None] - z[None, :]) + np.eye(n) * (scale + 1.0)
-    if gaps.min() > coincident_tol * max(scale, 1.0):
-        num = np.empty((n, n))
-        den = np.empty((n, n))
-        for j in range(n):
-            num[:, j] = sum(c * z ** p for c, p in num_cols[j])
-            den[:, j] = sum(c * z ** p for c, p in den_cols[j])
-        return float(np.linalg.det(num) / np.linalg.det(den))
-
-    # confluent path: snap near-equal nodes, use Hermite divided differences;
-    # the Vandermonde-type factors of the two alternants cancel in the ratio.
-    order = np.argsort(z)
-    zs = z[order]
-    snapped = list(zs)
-    for i in range(1, n):
-        if abs(snapped[i] - snapped[i - 1]) <= coincident_tol * max(scale, 1.0):
-            snapped[i] = snapped[i - 1]
-    num = np.empty((n, n))
-    den = np.empty((n, n))
-    for j in range(n):
-        num[:, j] = _monomial_dd(snapped, num_cols[j])
-        den[:, j] = _monomial_dd(snapped, den_cols[j])
-    return float(np.linalg.det(num) / np.linalg.det(den))
+def _h_matrix(h, k):
+    """Entries h_k of an integer index array k, with h_k = 0 for k < 0."""
+    return np.where(k >= 0, h[np.clip(k, 0, None)], 0.0)
 
 
 def _check_partition(lam, n):
@@ -228,17 +184,15 @@ def schur_principal(lam):
 
 
 def schur(lam, z):
-    """Schur polynomial as the bialternant det(z_i^{l_j+N-j}) / det(z_i^{N-j})."""
+    """Schur polynomial by Jacobi-Trudi: det(h_{l_i - i + j}(z))."""
     z = np.asarray(z, dtype=float)
     n = len(z)
     lam = _check_partition(lam, n)
     if np.any(z <= 0):
         raise ValueError("schur requires positive variables")
-    if np.allclose(z, 1.0, rtol=0, atol=1e-12):
-        return schur_principal(lam)
-    num_cols = [[(1.0, lam[j] + n - j - 1)] for j in range(n)]
-    den_cols = [[(1.0, n - j - 1)] for j in range(n)]
-    return _alternant_ratio(z, num_cols, den_cols)
+    h = _complete_homogeneous(z, lam[0] + n - 1)
+    i, j = np.indices((n, n))
+    return float(np.linalg.det(_h_matrix(h, np.asarray(lam)[:, None] - i + j)))
 
 
 def sp_principal(lam):
@@ -257,26 +211,19 @@ def sp_principal(lam):
 
 
 def sp_character(lam, z):
-    """Symplectic character det(z_i^{l_j} - z_i^{-l_j}) / det(z_i^{m_j} - z_i^{-m_j}).
+    """Symplectic character by Koike-Terada: (1/2) det(h_{l_i-i+j} + h_{l_i-i-j+2}).
 
-    l_j = lam_j + N - j + 1 and m_j = N - j + 1.
+    Indices are 1-based and h_k is taken over the 2N variables (z, 1/z).
     """
     z = np.asarray(z, dtype=float)
     n = len(z)
     lam = _check_partition(lam, n)
     if np.any(z <= 0):
         raise ValueError("sp_character requires positive variables")
-    if np.allclose(z, 1.0, rtol=0, atol=1e-12):
-        return sp_principal(lam)
-    ell = [lam[j - 1] + n - j + 1 for j in range(1, n + 1)]
-    m = [n - j + 1 for j in range(1, n + 1)]
-    num_cols = [[(1.0, ell[j]), (-1.0, -ell[j])] for j in range(n)]
-    den_cols = [[(1.0, m[j]), (-1.0, -m[j])] for j in range(n)]
-    # z = 1 is a common zero of every column; nudge exactly-one entries so the
-    # generic path stays out of 0/0 when other entries are far away.
-    if np.any(np.abs(z - 1.0) < 1e-12):
-        z = np.where(np.abs(z - 1.0) < 1e-12, 1.0 + 1e-7, z)
-    return _alternant_ratio(z, num_cols, den_cols)
+    h = _complete_homogeneous(np.concatenate([z, 1.0 / z]), lam[0] + n - 1)
+    i, j = np.indices((n, n))
+    row = np.asarray(lam)[:, None] - i
+    return 0.5 * float(np.linalg.det(_h_matrix(h, row + j) + _h_matrix(h, row - j)))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,15 @@ def test_drift_guard_near_boundary():
         drift(spec, 1.0, np.array([0.0, 1.0]))     # singular at the horizon
 
 
+@pytest.mark.parametrize("horizon", [1.0, math.inf])
+def test_drift_rejects_start_on_wall(horizon):
+    spec = ModelSpec(2, horizon=horizon, wall=True)
+    with pytest.raises(ValueError, match="on the wall"):
+        drift(spec, 0.5, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="on the wall"):
+        drift_batch(spec, 0.5, np.array([[0.5, 1.0], [0.0, 1.0]]))
+
+
 def test_g_density_batched_beyond_three_walkers():
     spec = ModelSpec(4, horizon=2.0)
     ys = np.array([[-1.0, 0.0, 0.5, 1.5], [-0.5, 0.2, 0.9, 2.0]])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from viciouskit.linalg import (determinant, pfaffian, skew_from_upper,
-                               symmetric_eigenvalues)
+from viciouskit.linalg import pfaffian, skew_from_upper, symmetric_eigenvalues
 
 # frozen upper triangle of a 6x6 skew matrix and the Pfaffian of its
 # 15-term perfect-matching expansion, computed independently
@@ -63,13 +62,6 @@ def test_pfaffian_batched_stack():
     assert out.shape == (3,)
     np.testing.assert_allclose(out, [FROZEN_PF, -FROZEN_PF, 0.0], rtol=1e-12)
     assert out[2] == 0.0
-
-
-def test_determinant_delegates():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert determinant(m) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        determinant(np.ones((2, 3)))
 
 
 def test_symmetric_eigenvalues_sorted_and_checked():

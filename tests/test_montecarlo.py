@@ -172,6 +172,12 @@ def test_noncollision_trivial_and_exact():
     assert abs(p2 - exact) < 3 * se2 + 0.5 * math.sqrt(1e-3)
 
 
+def test_noncollision_requires_interior_wall_start():
+    # survival from a start on the wall is 0; the walk must start inside
+    with pytest.raises(ValueError):
+        noncollision_mc(1.0, (0.0, 1.0), samples=1000, step=1e-2, wall=True)
+
+
 def test_endpoint_values():
     ens = simulate_sde(SimConfig("sde-p", ModelSpec(2), step=1e-2, t_end=0.3,
                                  samples=40, seed=2))

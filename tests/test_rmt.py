@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from viciouskit.densities import ModelSpec
 from viciouskit.harness import marginal_cdf
+from viciouskit.montecarlo import sample_origin_law
 from viciouskit.quadrature import chamber_integral
-from viciouskit.rmt import (eigen_density, pm_bridge_check, sample_ensemble,
-                            sample_finite_horizon_endpoint)
+from viciouskit.rmt import eigen_density, pm_bridge_check, sample_ensemble
 
 
 def test_goe_single_entry_variance():
@@ -78,7 +79,8 @@ def test_pm_interpolates_monotonically():
 
 def test_finite_horizon_endpoint_mass_shrinks_with_t():
     # conditioning on survival to the horizon concentrates the endpoint
-    a = sample_finite_horizon_endpoint(2, 1.0, 0.3, 4000, seed=1)
+    rng = np.random.Generator(np.random.Philox(key=[1, 1]))
+    a = sample_origin_law(ModelSpec(2, horizon=1.0), 0.3, 4000, rng)
     b = sample_ensemble("GOE", 2, variance=0.3, samples=4000, seed=2).eigenvalues
     # conditioned gaps are stochastically larger than the plain GOE gaps
     ga, gb = np.diff(a, axis=1)[:, 0], np.diff(b, axis=1)[:, 0]
@@ -88,6 +90,9 @@ def test_finite_horizon_endpoint_mass_shrinks_with_t():
 
 def test_pm_bridge_check_passes():
     reports = pm_bridge_check(2, 1.0, 0.5, samples=4000, seed=0)
+    assert all(r.verdict == "pass" for r in reports)
+    reports = pm_bridge_check(4, 1.0, 0.5, samples=4000, seed=0)
+    assert len(reports) == 5
     assert all(r.verdict == "pass" for r in reports)
 
 
@@ -100,5 +105,3 @@ def test_input_validation():
         sample_ensemble("PM", 2, alpha=1.5)
     with pytest.raises(ValueError):
         eigen_density("PM", np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        sample_finite_horizon_endpoint(4, 1.0, 0.5, 10)
