@@ -183,69 +183,73 @@ def _cmd_verify(args):
     return _run_suites(args, args.suite)
 
 
+# Shared flags.  Each subcommand takes only the flags its _cmd_* reads, plus
+# --out and --format, which _emit reads; any other flag is an argparse error.
+_FLAGS = {
+    "n": dict(type=int, default=2, help="number of walkers"),
+    "wall": dict(action="store_true", help="reflecting-wall variant"),
+    "horizon": dict(type=float, default=math.inf,
+                    help="nonintersection horizon T (inf for the h-transform family)"),
+    "time": dict(type=float, default=1.0,
+                 help="evaluation/end time (lattice steps for count/survive)"),
+    "scale": dict(type=int, default=8, help="lattice scale L"),
+    "samples": dict(type=int, default=1000),
+    "step": dict(type=float, default=1e-3, help="SDE time step"),
+    "seed": dict(type=int, default=0),
+    "streams": dict(type=int, default=1),
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="viciouskit",
                                 description="nonintersecting walkers: exact counts, "
                                             "densities, simulations, verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--n", type=int, default=2, help="number of walkers")
-        sp.add_argument("--wall", action="store_true", help="reflecting-wall variant")
-        sp.add_argument("--horizon", type=float, default=math.inf,
-                        help="nonintersection horizon T (inf for the h-transform family)")
-        sp.add_argument("--time", type=float, default=1.0,
-                        help="evaluation/end time (lattice steps for count/survive)")
-        sp.add_argument("--scale", type=int, default=8, help="lattice scale L")
-        sp.add_argument("--samples", type=int, default=1000)
-        sp.add_argument("--step", type=float, default=1e-3, help="SDE time step")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--streams", type=int, default=1)
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, summary, *flags):
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags + ("out", "format"):
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+        return sp
 
-    sp = sub.add_parser("count", help="exact nonintersecting path count")
-    common(sp)
+    sp = command("count", "exact nonintersecting path count", "wall", "time")
     sp.add_argument("--start", type=_positions, required=True, help="even positions, e.g. 0,2")
     sp.add_argument("--end", type=_positions, required=True)
     sp.set_defaults(fn=_cmd_count)
 
-    sp = sub.add_parser("survive", help="exact lattice survival probability")
-    common(sp)
+    sp = command("survive", "exact lattice survival probability", "wall", "time")
     sp.add_argument("--start", type=_positions, required=True)
     sp.set_defaults(fn=_cmd_survive)
 
-    sp = sub.add_parser("density", help="origin-start transition density at a point")
-    common(sp)
+    sp = command("density", "origin-start transition density at a point",
+                 "wall", "horizon", "time")
     sp.add_argument("--at", type=_floats, required=True, help="ordered reals, e.g. 0.1,0.9")
     sp.set_defaults(fn=_cmd_density)
 
-    sp = sub.add_parser("survival", help="Brownian non-collision probability (Pfaffian)")
-    common(sp)
+    sp = command("survival", "Brownian non-collision probability (Pfaffian)", "wall", "time")
     sp.add_argument("--at", type=_floats, required=True)
     sp.set_defaults(fn=_cmd_survival)
 
-    sp = sub.add_parser("simulate", help="walker or SDE path ensembles")
-    common(sp)
+    sp = command("simulate", "walker or SDE path ensembles", "n", "wall", "horizon",
+                 "time", "scale", "samples", "step", "seed", "streams")
     sp.add_argument("--model", choices=("walker", "sde-g", "sde-p"), default="walker")
     sp.add_argument("--start", type=_positions, default=None, help="walker lattice start")
     sp.add_argument("--at", type=_floats, default=None, help="SDE interior start")
     # SDE end time defaults to the guarded horizon (sde-g) or 1.0 (sde-p)
     sp.set_defaults(fn=_cmd_simulate, time=None, horizon=1.0)
 
-    sp = sub.add_parser("rmt", help="random-matrix spectra")
-    common(sp)
+    sp = command("rmt", "random-matrix spectra", "n", "samples", "seed")
     sp.add_argument("--ensemble", choices=("GOE", "GUE", "PM"), default="GOE")
     sp.add_argument("--variance", type=float, default=1.0)
     sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(fn=_cmd_rmt)
 
-    sp = sub.add_parser("verify-identities", help="run the identity battery")
-    common(sp)
+    sp = command("verify-identities", "run the identity battery", "samples", "seed")
     sp.set_defaults(fn=_cmd_verify_identities)
 
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    common(sp)
+    sp = command("verify", "run a named verification suite", "samples", "seed")
     sp.add_argument("--suite", choices=("identities", "combinatorics", "montecarlo",
                                         "rmt", "all"), default="all")
     sp.set_defaults(fn=_cmd_verify)

@@ -323,19 +323,16 @@ def _survival_float(m, u):
         ci = np.arange(lo, min(pos[i] + m, pos[i] + cut) + 1, 2)
         cands.append(ci)
 
-    total = 0.0
+    # ordered support, one slab of first-walker candidates at a time: each
+    # slab has at most max(chunk, product of the other candidate counts) rows
     chunk = 200_000
-    if n == 1:
-        v = cands[0][:, None]
-        vstack = v.reshape(-1, 1)
-        total = _det_sum(vstack, pos, m, u.wall, weight)
-    else:
-        grids = np.meshgrid(*cands, indexing="ij")
-        v_all = np.stack([g.ravel() for g in grids], axis=-1)
-        order_ok = np.all(v_all[:, 1:] > v_all[:, :-1], axis=1)
-        v_all = v_all[order_ok]
-        for start in range(0, v_all.shape[0], chunk):
-            total += _det_sum(v_all[start:start + chunk], pos, m, u.wall, weight)
+    slab = max(chunk // math.prod(len(c) for c in cands[1:]), 1)
+    total = 0.0
+    for start in range(0, len(cands[0]), slab):
+        grids = np.meshgrid(cands[0][start:start + slab], *cands[1:], indexing="ij")
+        v = np.stack([g.ravel() for g in grids], axis=-1)
+        v = v[np.all(v[:, 1:] > v[:, :-1], axis=1)]
+        total += _det_sum(v, pos, m, u.wall, weight)
     return total
 
 

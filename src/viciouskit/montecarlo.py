@@ -31,6 +31,7 @@ ACCEPTANCE_FLOOR = 1e-6
 HALVING_BUDGET = 20
 HORIZON_GUARD = 1e-4      # g-family integration stops at T * (1 - guard)
 MAX_GRID_COLUMNS = 65
+WALKER_ROUND_ENTRIES = 1 << 21   # walker step entries drawn per round
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,55 @@ def _grid_columns(m):
 # Lattice walkers
 
 
+def _advance_block(rng, pos0, m, cols, batch, wall):
+    """Survivors of `batch` walker proposals over m steps, at the steps in cols.
+
+    Proposals advance in rounds of k = max(t, 8) steps from the time t
+    reached, at most WALKER_ROUND_ENTRIES step entries per round.  Rows
+    that break strict order (or go below 0 behind the wall) within a round
+    are dropped, so a proposal draws about twice its lifetime in steps.
+    Returns int64 positions, shape (survivors, len(cols), n).
+    """
+    n = len(pos0)
+    rec = np.empty((batch, len(cols), n), dtype=np.int64)
+    rec[:, 0] = pos0
+    rows = np.arange(batch)             # rec row of each live proposal
+    pos = np.broadcast_to(pos0, (batch, n))
+    t, c = 0, 1                         # time reached, next column to record
+    while t < m and len(rows):
+        k = min(max(t, 8), m - t, WALKER_ROUND_ENTRIES // (len(rows) * n))
+        path = rng.integers(0, 2, size=(len(rows), k, n), dtype=np.int8).astype(np.int64)
+        path *= 2
+        path -= 1
+        np.cumsum(path, axis=1, out=path)
+        path += pos[:, None, :]
+        ok = np.all(path[:, :, 1:] > path[:, :, :-1], axis=(1, 2))
+        if wall:
+            ok &= np.all(path[:, :, 0] >= 0, axis=1)
+        live = np.flatnonzero(ok)
+        rows = rows[live]
+        c_end = np.searchsorted(cols, t + k, side="right")
+        rec[rows, c:c_end] = path[live[:, None], cols[c:c_end] - t - 1]
+        pos = path[live, -1]
+        del path                        # freed before the next round's draw
+        t, c = t + k, c_end
+    return rec[rows]
+
+
 def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
     """Rejection sampling of nonintersecting +-1 walk tuples.
 
     N independent simple walks over m = 2*floor(scale^2*horizon/2) steps;
     realizations breaking strict order (or wall nonnegativity) at any step
-    are discarded.  Paths are returned in diffusion scaling, position/scale
-    against time step/scale^2, on a uniform subgrid.  The acceptance
-    fraction accepted/proposed is an unbiased survival estimate.
+    are discarded.  Proposals advance in blocks, round by round, with round
+    lengths doubling in the time reached, and each is dropped at the end of
+    the round holding its first violation (early kill), so the law is the
+    same as checking whole paths.  WALKER_ROUND_ENTRIES caps the step
+    entries drawn per round and the recorded entries per block, so memory
+    does not grow with samples, m or the acceptance rate.  Paths are
+    returned in diffusion scaling, position/scale against time
+    step/scale^2, on a uniform subgrid.  Every survivor of a block counts
+    as accepted, so accepted/proposed is an unbiased survival estimate.
     """
     if cfg.model != "walker":
         raise ValueError("simulate_walkers requires walker mode")
@@ -141,39 +183,29 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
     if m < 1:
         raise ValueError("horizon too short for this scale: zero lattice steps")
     cols = _grid_columns(m)
-    pos0 = np.asarray(u.positions, dtype=float)
+    pos0 = np.asarray(u.positions, dtype=np.int64)
+    block_cap = max(WALKER_ROUND_ENTRIES // (n * max(len(cols), 8)), 1)
 
-    quotas = _stream_quotas(cfg.samples, cfg.streams)
-    kept = []
+    paths = np.empty((cfg.samples, n, len(cols)))
+    got = 0
     accepted = 0
     proposed = 0
-    for s, quota in enumerate(quotas):
+    for s, quota in enumerate(_stream_quotas(cfg.samples, cfg.streams)):
         rng = _stream_rng(cfg, s)
-        got = []
-        have = 0
-        batch = max(4 * quota, 1024)
-        while have < quota:
-            steps = rng.integers(0, 2, size=(batch, m, n)) * 2 - 1
-            paths = np.concatenate(
-                [np.broadcast_to(pos0, (batch, 1, n)),
-                 pos0 + np.cumsum(steps, axis=1)], axis=1
-            )
-            ok = np.all(paths[:, :, 1:] > paths[:, :, :-1], axis=(1, 2))
-            if u.wall:
-                ok &= np.all(paths[:, :, 0] >= 0, axis=1)
+        batch = min(max(4 * quota, 1024), block_cap)
+        stop = got + quota
+        while got < stop:
+            good = _advance_block(rng, pos0, m, cols, batch, u.wall)
             proposed += batch
-            accepted += int(ok.sum())
-            good = paths[ok]
-            got.append(good[: quota - have])
-            have += min(len(good), quota - have)
+            accepted += len(good)
+            take = min(len(good), stop - got)
+            paths[got:got + take] = good[:take].transpose(0, 2, 1) / L
+            got += take
             if proposed >= 1_000_000 and accepted / proposed < acceptance_floor:
                 raise RuntimeError(
                     "walker acceptance below %g after %d proposals; "
                     "reduce the scale or walker count" % (acceptance_floor, proposed)
                 )
-        kept.append(np.concatenate(got, axis=0))
-    paths = np.concatenate(kept, axis=0)                 # (samples, m+1, n)
-    paths = paths[:, cols, :].transpose(0, 2, 1) / L     # (samples, n, grid)
     grid = cols / float(L * L)
     return PathEnsemble(time_grid=grid, paths=paths, accepted=accepted,
                         proposed=proposed, config_digest=cfg.digest())

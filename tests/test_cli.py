@@ -110,6 +110,18 @@ def test_verify_identities_alias(capsys):
     assert data["suite"] == "identities"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--start", "0,2", "--end", "0,4", "--time", "4", "--n", "5", "--scale", "3"],
+    ["survival", "--at", "0,1", "--horizon", "2"],
+    ["rmt", "--wall"],
+    ["verify", "--suite", "rmt", "--step", "0.1"],
+])
+def test_unread_flag_is_an_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 COUNT_ARGV = ["count", "--start", "0", "--end", "0", "--time", "2"]
 
 # What pip's generated console-script launcher does, with the target resolved

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from viciouskit.combinatorics import LatticeConfig, survival_probability
+from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
 from viciouskit.densities import ModelSpec, survival
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, endpoint_values,
                                    noncollision_mc, sample_origin_law,
@@ -73,6 +74,74 @@ def test_walker_determinism_across_streams():
     a, b = run(4), run(4)
     np.testing.assert_array_equal(a.paths, b.paths)
     assert a.accepted == b.accepted and a.proposed == b.proposed
+
+
+def test_walker_stream_with_zero_quota():
+    # 2 samples over 3 streams: the third stream's quota is 0, so it draws
+    # nothing and the run equals the two-stream run
+    def run(streams):
+        return simulate_walkers(SimConfig("walker", ModelSpec(2, horizon=1.0),
+                                          start=LatticeConfig((0, 2)), scale=4,
+                                          samples=2, streams=streams))
+
+    a, b = run(3), run(2)
+    assert a.paths.shape[0] == 2
+    np.testing.assert_array_equal(a.paths, b.paths)
+    assert (a.accepted, a.proposed) == (b.accepted, b.proposed)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_walker_endpoint_law_is_exact_across_rounds(wall):
+    # m = 40 steps span rounds of 8, 8, 16 and 8 steps; the accepted
+    # endpoints must follow the exact conditioned law count(v) / sum count
+    m = 40
+    u = LatticeConfig((0, 2), wall=wall)
+    ens = simulate_walkers(SimConfig("walker", ModelSpec(2, horizon=float(m), wall=wall),
+                                     start=u, scale=1, samples=4000, seed=17))
+    assert ens.time_grid[-1] == m
+    support = [(a, b) for a in range(-m, m + 1, 2) for b in range(2 - m, m + 3, 2)
+               if a < b and (not wall or a >= 0)]
+    counts = [count_paths(m, u, v).value for v in support]
+    assert sum(counts) == survival_probability(m, u) * 4 ** m
+    counts = np.array(counts, dtype=float)
+    index = {v: i for i, v in enumerate(support)}
+    observed = np.zeros(len(support))
+    for row in np.rint(ens.paths[:, :, -1]).astype(int):
+        observed[index[tuple(row)]] += 1
+    expected = len(ens.paths) * counts / counts.sum()
+    big = expected >= 5                 # pool the small cells into one
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    assert sps.chisquare(obs, exp).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_walker_recorded_columns_are_single_steps(wall):
+    # m + 1 = 65 columns: every lattice step is recorded, across the round
+    # boundaries at 8, 16 and 32, so each column moves each walker by 1/L
+    L = 4
+    ens = simulate_walkers(SimConfig("walker", ModelSpec(2, horizon=4.0, wall=wall),
+                                     start=LatticeConfig((0, 2), wall=wall), scale=L,
+                                     samples=300, seed=8))
+    assert len(ens.time_grid) == 65
+    np.testing.assert_array_equal(np.abs(np.diff(ens.paths, axis=2)) * L, 1.0)
+
+
+@pytest.mark.parametrize("n, scale", [(2, 32), (1, 64)])
+def test_walker_memory_is_bounded(n, scale):
+    # free N=2 accepts about 3.5% of proposals at L=32; N=1 accepts all of
+    # them over 4096 steps
+    cfg = SimConfig("walker", ModelSpec(n, horizon=1.0),
+                    start=LatticeConfig(tuple(range(0, 2 * n, 2))), scale=scale,
+                    samples=2000, seed=0)
+    tracemalloc.start()
+    try:
+        ens = simulate_walkers(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.paths.shape[0] == 2000
+    assert peak < 64 * 2 ** 20
 
 
 def test_pathensemble_invariants():
