@@ -31,13 +31,9 @@ def main():
 
     print("\nlattice refinement at diffusion time t = 1")
     print("  %-6s %-12s %-12s %s" % ("scale", "survival", "prediction", "ratio"))
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for scale in (4, 8, 16, 32):
-            s, pred, ratio = scaled_survival(scale, 1.0, u)
-            print("  %-6d %-12.6f %-12.6f %.4f" % (scale, s, pred, ratio))
+    for scale in (4, 8, 16, 32):
+        s, pred, ratio = scaled_survival(scale, 1.0, u)
+        print("  %-6d %-12.6f %-12.6f %.4f" % (scale, s, pred, ratio))
     print("the ratio drifts toward 1: the scaled walk survival converges")
     print("to the Brownian non-collision probability")
 

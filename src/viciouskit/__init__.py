@@ -1,14 +1,13 @@
 """Nonintersecting random walkers and their diffusion scaling limits.
 
-Exact lattice counting (binomial determinants), Pfaffian non-collision
-probabilities, closed-form transition densities of the conditioned
-diffusions (finite and infinite horizon, with and without an absorbing
-wall), stochastic simulation, random-matrix endpoint laws, and a
-verification harness.
+Exact lattice counting (binomial determinants, and a Stembridge Pfaffian
+for the lattice survival), Pfaffian non-collision probabilities,
+closed-form transition densities of the conditioned diffusions (finite and
+infinite horizon, with and without an absorbing wall), stochastic
+simulation, random-matrix endpoint laws, and a verification harness.
 """
 
-from .combinatorics import (LatticeConfig, WalkCount, count_paths, count_paths_batch,
-                            oracle_count_dp,
+from .combinatorics import (LatticeConfig, WalkCount, count_paths, oracle_count_dp,
                             scaled_survival, survival_probability, time_lattice,
                             walk_probability)
 from .densities import (ModelSpec, de_bruijn_check, drift, drift_batch, g_density,

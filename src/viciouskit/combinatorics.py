@@ -1,17 +1,18 @@
 """Exact counting of nonintersecting lattice walks.
 
 Counts N-tuples of ±1 walks that keep strict order (optionally staying
-nonnegative behind a wall) with binomial determinants, evaluated in exact
-integer arithmetic, plus a brute-force dynamic-programming oracle and the
-diffusion-scaling survival asymptotics.
+nonnegative behind a wall): binomial determinants for fixed endpoints, one
+Stembridge Pfaffian for the survival over free endpoints (exact integer or
+normalised float arithmetic), a brute-force dynamic-programming oracle and
+the diffusion-scaling survival asymptotics.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import stats
 
 from .special_functions import constants, h_poly, h_hat_poly
 
@@ -19,19 +20,12 @@ __all__ = [
     "LatticeConfig",
     "WalkCount",
     "count_paths",
-    "count_paths_batch",
     "walk_probability",
     "survival_probability",
     "oracle_count_dp",
     "scaled_survival",
     "time_lattice",
 ]
-
-# exact enumeration budget for the survival sum; above this the scaled
-# survival path switches to float determinants
-EXACT_SUPPORT_CAP = 60_000
-EXACT_STEP_CAP = 64
-
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -43,11 +37,13 @@ class LatticeConfig:
     def __post_init__(self):
         pos = tuple(int(p) for p in self.positions)
         object.__setattr__(self, "positions", pos)
+        if not pos:
+            raise ValueError("need at least one walker")
         if any(p % 2 != 0 for p in pos):
             raise ValueError("lattice positions must be even")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("lattice positions must be strictly increasing")
-        if self.wall and pos and pos[0] < 0:
+        if self.wall and pos[0] < 0:
             raise ValueError("wall configurations must be nonnegative")
 
     def __len__(self):
@@ -128,7 +124,7 @@ def count_paths(m, u, v):
     v_pos = _endpoint_positions(v, u)
     _check_pair(m, u, v_pos)
     n = len(u)
-    if any(b <= a for a, b in zip(v_pos, v_pos[1:])) or (u.wall and n and v_pos[0] < 0):
+    if any(b <= a for a, b in zip(v_pos, v_pos[1:])) or (u.wall and v_pos[0] < 0):
         return WalkCount(value=0, steps=m, n_walkers=n)
     mat = [[_binom_entry(m, u.positions[j], v_pos[i], u.wall) for j in range(n)] for i in range(n)]
     val = _bareiss_det(mat)
@@ -143,47 +139,66 @@ def walk_probability(m, u, v):
     return Fraction(c.value, 1 << (m * len(u)))
 
 
-def _endpoint_support(m, u):
-    """Iterate strictly increasing parity-consistent endpoints v."""
-    n = len(u)
-    pos = u.positions
+def _walk_weights(m, u, exact):
+    """Single-walk weights w[i, k] from u_i to the k-th endpoint of one grid.
 
-    def rec(i, lower, acc):
-        if i == n:
-            yield tuple(acc)
-            return
-        lo = pos[i] - m
-        if u.wall and i == 0:
-            lo = max(lo, 0 if m % 2 == 0 else 1)
-        lo = max(lo, lower)
-        # match endpoint parity: v_i - u_i must have the parity of m
-        if (lo - pos[i] - m) % 2 != 0:
-            lo += 1
-        hi = pos[i] + m
-        for vi in range(lo, hi + 1, 2):
-            acc.append(vi)
-            yield from rec(i + 1, vi + 1, acc)
-            acc.pop()
+    The weight is the binomial C(m, (m+v-u_i)/2), less the reflected term
+    C(m, (m+u_i+v)/2 + 1) behind the wall, where the grid starts at v >= 0.
+    Python ints from the running recurrence C(m, k+1) = C(m, k)(m-k)/(k+1)
+    when exact, else the binomial(m, 1/2) probabilities, which are the
+    binomials normalised by 2^m.
+    """
+    pos = np.asarray(u.positions)
+    lo = pos[0] - m
+    if u.wall:
+        lo = max(lo, m % 2)
+    v = np.arange(lo, pos[-1] + m + 1, 2)
+    if exact:
+        row = [1]
+        for k in range(m):
+            row.append(row[-1] * (m - k) // (k + 1))
+        row = np.array(row + [0], dtype=object)
+    else:
+        row = np.append(stats.binom.pmf(np.arange(m + 1), m, 0.5), 0.0)
 
-    yield from rec(0, -(1 << 62), [])
+    def binom(k):
+        # C(m, k), with index m + 1 holding the zero for k outside [0, m]
+        return row[np.where((k >= 0) & (k <= m), k, m + 1)]
+
+    w = binom((m + v[None, :] - pos[:, None]) // 2)
+    if u.wall:
+        w = w - binom((m + v[None, :] + pos[:, None]) // 2 + 1)
+    return w
 
 
 def survival_probability(m, u, exact=True):
     """Probability that all walkers keep strict order (and stay >= 0 behind a wall).
 
-    Sums the endpoint determinants over the reachable support; exact
-    rational arithmetic by default.
+    Stembridge's Pfaffian for free endpoints: Pf[Q(u_i, u_j)] / 2^{mN},
+    where Q(a, b) = sum_v [w_b(v) W_a(<v) - w_a(v) W_b(<v)] counts the
+    nonintersecting pairs of walks from a and b, w is the single-walk
+    weight and W its running sum; for odd N the matrix is bordered by the
+    single-walk totals.  The Pfaffian counts tuples, so it is the square
+    root of the determinant.  `exact` selects exact integer arithmetic (a
+    Fraction) or normalised float arithmetic (a float).
     """
     if m < 0:
         raise ValueError("step count must be nonnegative")
     n = len(u)
-    total = 0
-    for v_pos in _endpoint_support(m, u):
-        mat = [[_binom_entry(m, u.positions[j], v_pos[i], u.wall) for j in range(n)] for i in range(n)]
-        total += _bareiss_det(mat)
-    if exact:
-        return Fraction(total, 1 << (m * n))
-    return total / float(1 << (m * n))
+    w = _walk_weights(m, u, exact)
+    # pair[i, j] = sum_v W_i(<v) w_j(v), so a[i, j] = Q(u_i, u_j)
+    pair = (np.cumsum(w, axis=1) - w) @ w.T
+    a = pair - pair.T
+    if n % 2:
+        total = w.sum(axis=1)[:, None]
+        a = np.block([[a, total], [-total.T, np.zeros((1, 1), a.dtype)]])
+    if not exact:
+        return math.sqrt(max(np.linalg.det(a), 0.0))
+    det = _bareiss_det(a.tolist())
+    pf = math.isqrt(det)
+    if pf * pf != det:
+        raise AssertionError("Pfaffian determinant %d is not a perfect square" % det)
+    return Fraction(pf, 1 << (m * n))
 
 
 def oracle_count_dp(m, u, v=None, max_walkers=4, max_steps=12, return_steps=False):
@@ -238,118 +253,17 @@ def oracle_count_dp(m, u, v=None, max_walkers=4, max_steps=12, return_steps=Fals
     return {cfg: WalkCount(value=c, steps=m, n_walkers=n) for cfg, c in table.items()}
 
 
-def count_paths_batch(m, u, v_array):
-    """Exact determinant counts for many endpoints at once (N <= 4).
-
-    Cofactor (permutation-sum) expansion in int64; raises if the worst-case
-    magnitude could overflow.
-    """
-    import itertools
-
-    n = len(u)
-    if n > 4:
-        raise ValueError("batched counts support N <= 4")
-    v_array = np.asarray(v_array, dtype=np.int64)
-    if v_array.ndim != 2 or v_array.shape[1] != n:
-        raise ValueError("v_array must be (batch, N)")
-    peak = math.comb(m, m // 2)
-    if math.factorial(n) * peak ** n >= 2 ** 62:
-        raise ValueError("entries too large for exact int64 expansion")
-    comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=np.int64)
-
-    def entry(uj, vi):
-        top = m + uj - vi
-        val = np.where((top % 2 == 0) & (top >= 0) & (top <= 2 * m),
-                       comb[np.clip(top // 2, 0, m)], 0)
-        if u.wall:
-            t2 = (m + uj + vi) // 2 + 1
-            val = val - np.where((top % 2 == 0) & (t2 >= 0) & (t2 <= m),
-                                 comb[np.clip(t2, 0, m)], 0)
-        return val.astype(np.int64)
-
-    mat = np.empty((len(v_array), n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            mat[:, i, j] = entry(u.positions[j], v_array[:, i])
-    det = np.zeros(len(v_array), dtype=np.int64)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        term = np.ones(len(v_array), dtype=np.int64)
-        for i in range(n):
-            term = term * mat[:, i, perm[i]]
-        det += sign * term
-    return det
-
-
 def time_lattice(scale, t):
     """Even lattice time 2*floor(scale^2 * t / 2) used by the diffusion scaling."""
     return 2 * int(math.floor(scale * scale * t / 2.0))
 
 
-def _survival_float(m, u):
-    """Float determinant survival sum, vectorized over the endpoint support."""
-    n = len(u)
-    pos = np.asarray(u.positions)
-    # normalized binomial weights w[offset] = C(m, (m+offset)/2) / 2^m
-    offsets = np.arange(-m, m + 1, 2)
-    logw = (
-        math.lgamma(m + 1)
-        - np.array([math.lgamma((m + o) // 2 + 1) + math.lgamma((m - o) // 2 + 1) for o in offsets])
-        - m * math.log(2.0)
-    )
-    w = np.exp(logw)
-
-    def weight(delta):
-        # normalized binomial weight at a signed offset; zero outside [-m, m]
-        # or off the parity class of m
-        mask = (np.abs(delta) <= m) & ((delta - m) % 2 == 0)
-        idx = np.where(mask, (delta + m) // 2, 0)
-        return np.where(mask, w[np.clip(idx, 0, m)], 0.0)
-
-    # candidate endpoint values per walker; the reachability box is cut at
-    # 14 standard deviations, where the remaining (nonnegative) mass of the
-    # determinant sum is below 1e-40
-    cut = 2 * int(7.0 * math.sqrt(m)) + 2
-    cands = []
-    for i in range(n):
-        lo = max(pos[i] - m, pos[i] - cut)
-        lo += (lo - pos[i] - m) % 2
-        if u.wall and i == 0:
-            lo = max(lo, 0 if m % 2 == 0 else 1)
-        ci = np.arange(lo, min(pos[i] + m, pos[i] + cut) + 1, 2)
-        cands.append(ci)
-
-    # ordered support, one slab of first-walker candidates at a time: each
-    # slab has at most max(chunk, product of the other candidate counts) rows
-    chunk = 200_000
-    slab = max(chunk // math.prod(len(c) for c in cands[1:]), 1)
-    total = 0.0
-    for start in range(0, len(cands[0]), slab):
-        grids = np.meshgrid(cands[0][start:start + slab], *cands[1:], indexing="ij")
-        v = np.stack([g.ravel() for g in grids], axis=-1)
-        v = v[np.all(v[:, 1:] > v[:, :-1], axis=1)]
-        total += _det_sum(v, pos, m, u.wall, weight)
-    return total
-
-
-def _det_sum(v_batch, pos, m, wall, weight):
-    n = len(pos)
-    vb = v_batch[:, :, None]          # (B, i, 1)
-    ub = pos[None, None, :]           # (1, 1, j)
-    mat = weight(ub - vb)
-    if wall:
-        mat = mat - weight(ub + vb + 2)
-    return float(np.linalg.det(mat).sum())
-
-
 def scaled_survival(scale, t, u):
-    """Exact lattice survival at diffusion time t against its scaling-limit prediction.
+    """Lattice survival at diffusion time t against its scaling-limit prediction.
 
-    Returns (survival, prediction, ratio) where the prediction is
+    The survival is the float-arithmetic Pfaffian of survival_probability
+    at m = time_lattice(scale, t) steps.  Returns (survival, prediction,
+    ratio) where the prediction is
     h(u/(scale*sqrt(t)))/c_bar for the free model and the h_hat/c_tilde
     analogue behind the wall.  Free model: the ratio tends to 1 as the
     scale grows at fixed u.  Wall model: the discrete boundary sits at -1,
@@ -361,21 +275,11 @@ def scaled_survival(scale, t, u):
     if t <= 0:
         raise ValueError("time must be positive")
     m = time_lattice(scale, t)
-    n = len(u)
-    support_size = (m + 1) ** n
-    if m <= EXACT_STEP_CAP and support_size <= EXACT_SUPPORT_CAP:
-        exact = float(survival_probability(m, u))
-    else:
-        warnings.warn(
-            "survival sum over %d^%d endpoints exceeds the exact budget; "
-            "falling back to float determinants (signed cancellation may cost digits)"
-            % (m + 1, n)
-        )
-        exact = _survival_float(m, u)
+    surv = survival_probability(m, u, exact=False)
     x = np.asarray(u.positions, dtype=float) / (scale * math.sqrt(t))
-    consts = constants(n)
+    consts = constants(len(u))
     if u.wall:
         pred = h_hat_poly(x) / consts.c_tilde
     else:
         pred = h_poly(x) / consts.c_bar
-    return exact, pred, exact / pred if pred != 0 else math.inf
+    return surv, pred, surv / pred if pred != 0 else math.inf

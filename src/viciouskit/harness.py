@@ -295,14 +295,10 @@ def _suite_identities(samples, seed):
     # lattice survival vs scaling prediction; the wall run keeps the start
     # proportional to the scale (the discrete boundary shifts fixed starts
     # by one lattice unit, so fixed-u ratios do not converge behind the wall)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, _, ratio = scaled_survival(8, 1.0, LatticeConfig((0, 2)))
-        out.append(_report("scaled_survival", abs(1 - ratio), 0.05))
-        _, _, ratio = scaled_survival(32, 16.0, LatticeConfig((32, 64), wall=True))
-        out.append(_report("scaled_survival_wall", abs(1 - ratio), 0.05))
+    _, _, ratio = scaled_survival(8, 1.0, LatticeConfig((0, 2)))
+    out.append(_report("scaled_survival", abs(1 - ratio), 0.05))
+    _, _, ratio = scaled_survival(32, 16.0, LatticeConfig((32, 64), wall=True))
+    out.append(_report("scaled_survival_wall", abs(1 - ratio), 0.05))
     return out
 
 

@@ -19,8 +19,8 @@ from scipy import stats as sps
 from scipy.stats import qmc
 
 from viciouskit.cli import main as cli_main
-from viciouskit.combinatorics import (LatticeConfig, count_paths_batch,
-                                      oracle_count_dp, survival_probability)
+from viciouskit.combinatorics import (LatticeConfig, count_paths, oracle_count_dp,
+                                      survival_probability)
 from viciouskit.densities import (ModelSpec, de_bruijn_check, g_density,
                                   imhof_check, p_density, survival,
                                   survival_asymptotics)
@@ -52,11 +52,9 @@ def test_criterion_01_exact_counts_match_dp_oracle():
             for wall in (False, True):
                 u = LatticeConfig(positions, wall=wall)
                 for m, dp in enumerate(oracle_count_dp(10, u, return_steps=True), 1):
-                    vs = np.array(sorted(dp))
-                    batch = count_paths_batch(m, u, vs)
-                    for v, b in zip(vs, batch):
+                    for v, cnt in dp.items():
                         checked += 1
-                        if int(b) != dp[tuple(v)].value:
+                        if count_paths(m, u, v).value != cnt.value:
                             mismatches += 1
     elapsed = time.time() - t0
     _verdict(1, "determinant counts = DP oracle (N<=4, m<=10, gaps<=6)",

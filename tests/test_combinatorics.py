@@ -1,14 +1,13 @@
-import math
+import itertools
 import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from viciouskit.combinatorics import (LatticeConfig, WalkCount, count_paths,
-                                      count_paths_batch, oracle_count_dp,
-                                      scaled_survival, survival_probability,
-                                      time_lattice, walk_probability)
+                                      oracle_count_dp, scaled_survival,
+                                      survival_probability, time_lattice,
+                                      walk_probability)
 
 
 def test_lattice_config_validation():
@@ -18,6 +17,8 @@ def test_lattice_config_validation():
         LatticeConfig((2, 2))            # not strictly increasing
     with pytest.raises(ValueError):
         LatticeConfig((-2, 0), wall=True)
+    with pytest.raises(ValueError, match="at least one walker"):
+        LatticeConfig(())
     assert len(LatticeConfig((0, 2, 4))) == 3
 
 
@@ -55,7 +56,8 @@ def test_wall_hand_enumeration():
 
 
 @pytest.mark.parametrize("wall", [False, True])
-@pytest.mark.parametrize("positions", [(0,), (0, 2), (0, 4), (0, 2, 4), (2, 4, 8)])
+@pytest.mark.parametrize("positions", [(0,), (0, 2), (0, 4), (0, 2, 4), (2, 4, 8),
+                                       (0, 2, 4, 6), (0, 2, 6, 8)])
 def test_determinant_equals_dp(wall, positions):
     u = LatticeConfig(positions, wall=wall)
     for m in (1, 2, 3, 5):
@@ -69,10 +71,8 @@ def test_determinant_equals_dp(wall, positions):
 def test_count_paths_batch_matches_scalar():
     u = LatticeConfig((0, 2, 4), wall=True)
     dp = oracle_count_dp(4, u)
-    vs = np.array(sorted(dp))
-    batch = count_paths_batch(4, u, vs)
-    for v, b in zip(vs, batch):
-        assert count_paths(4, u, tuple(v)).value == int(b)
+    for v in sorted(dp):
+        assert count_paths(4, u, v).value == dp[v].value
 
 
 def test_survival_monotone_and_translation_invariance():
@@ -105,7 +105,7 @@ def test_scaled_survival_ratio_improves_with_scale():
     u = LatticeConfig((0, 2))
     ratios = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         for scale in (8, 16, 32):
             _, _, r = scaled_survival(scale, 1.0, u)
             ratios.append(r)
@@ -116,20 +116,41 @@ def test_scaled_survival_ratio_improves_with_scale():
 
 def test_scaled_survival_three_walkers():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         _, _, r = scaled_survival(16, 1.0, LatticeConfig((0, 2, 4)))
     assert abs(1 - r) < 0.25
 
 
 def test_float_fallback_matches_exact_on_overlap():
-    # same instance through the exact and the float-determinant paths
-    from viciouskit import combinatorics as co
+    # the same Pfaffian in float and in exact integer arithmetic
+    for n in range(1, 6):
+        for gaps in itertools.product((2, 4), repeat=n - 1):
+            positions = tuple(itertools.accumulate(gaps, initial=0))
+            for wall in (False, True):
+                u = LatticeConfig(positions, wall=wall)
+                for m in range(13):
+                    exact = float(survival_probability(m, u))
+                    if exact >= 1e-5:
+                        approx = survival_probability(m, u, exact=False)
+                        assert approx == pytest.approx(exact, rel=1e-10)
 
-    u = LatticeConfig((0, 2))
-    m = 12
-    exact = float(survival_probability(m, u))
-    approx = co._survival_float(m, u)
-    assert approx == pytest.approx(exact, rel=1e-10)
-    uw = LatticeConfig((2, 4), wall=True)
-    exact_w = float(survival_probability(m, uw))
-    assert co._survival_float(m, uw) == pytest.approx(exact_w, rel=1e-10)
+
+def _gov_count(p, m):
+    # Guttmann-Owczarek-Viennot: p packed free walkers of m steps
+    count = Fraction(1)
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            count *= Fraction(i + j + p - 1, i + j - 1)
+    return count
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_packed_survival_matches_gov_product(p):
+    u = LatticeConfig(tuple(range(0, 2 * p, 2)))
+    for m in range(13):
+        assert survival_probability(m, u) == _gov_count(p, m) / (1 << (m * p))
+
+
+def test_packed_survival_eight_walkers_long_time():
+    u = LatticeConfig(tuple(range(0, 16, 2)))
+    assert survival_probability(400, u) == _gov_count(8, 400) / (1 << 3200)
