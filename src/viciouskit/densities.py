@@ -7,6 +7,7 @@ small-configuration survival asymptotics, and the de Bruijn
 integral-to-Pfaffian reduction check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,14 @@ def _psi_grad(u):
     return (2.0 / math.sqrt(math.pi)) * np.exp(-u ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """Index arrays (i, j) of the pairs i < j of n walkers, built once per n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _survival_matrix(t, xs, wall):
     """Skew matrices A with Pf(A) = non-collision probability, and D = dA_kj/dx_k.
 
@@ -97,7 +106,7 @@ def _survival_matrix(t, xs, wall):
     dim = n + n % 2
     a = np.zeros(xs.shape[:-1] + (dim, dim))
     d = np.zeros_like(a)
-    i, j = np.triu_indices(n, 1)
+    i, j = _pairs(n)
     if wall:
         root = math.sqrt(2 * t)
         u = xs / root
@@ -206,8 +215,12 @@ def drift_batch(spec, t, xs):
 
     Finite horizon: the gradient of log survival(T - t, .), exactly, from
     d_k log Pf(A) = sum_j (A^-1)_jk dA_kj/dx_k over the survival matrix A.
-    Infinite horizon: the closed interacting form sum_{j != i} 1/(x_i - x_j),
-    plus 1/x_i and 1/(x_i + x_j) terms behind the wall.
+    One Parlett-Reid elimination M A M^T = B (linalg._skew_eliminate) gives
+    A^-1 = M^T B^-1 M with B block-diagonal, so no inverse is formed.  A
+    row whose survival matrix is singular (coincident walkers) raises
+    ValueError.  Infinite horizon: the closed interacting form
+    sum_{j != i} 1/(x_i - x_j), plus 1/x_i and 1/(x_i + x_j) terms behind
+    the wall.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     xs = np.asarray(xs, dtype=float)
@@ -226,8 +239,21 @@ def drift_batch(spec, t, xs):
     if not (t < T):
         raise ValueError("the finite-horizon drift is singular at t = horizon")
     a, d = _survival_matrix(T - t, xs, wall)
-    inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    return np.sum(inv_t[..., :n, :] * d[..., :n, :], axis=-1)
+    _, pivots, m = linalg._skew_eliminate(a)
+    singular = np.any(pivots == 0.0, axis=0)
+    if singular.any():
+        row = np.unravel_index(np.argmax(singular), xs.shape[:-1])
+        raise ValueError("survival matrix of row %s (x = %s) is singular: the drift is "
+                         "undefined there" % (row[0] if len(row) == 1 else row, xs[row]))
+    # A^-1 = M^T B^-1 M, where B's 2x2 block [[0, p], [-p, 0]] inverts to
+    # [[0, -1/p], [1/p, 0]]: (A^-1)_jk = sum_h (r_hj q_hk - q_hj r_hk) with
+    # q_h = M[2h] / p_h and r_h = M[2h+1]; inv_t[k, j] holds (A^-1)_jk
+    q = m[0::2] / pivots[:, None]
+    r = m[1::2]
+    inv_t = np.sum(q[:, :n, None] * r[:, None] - r[:, :n, None] * q[:, None], axis=0)
+    d = np.moveaxis(d.reshape((-1,) + d.shape[-2:])[:, :n], 0, -1)
+    out = np.sum(inv_t * d, axis=1).T
+    return out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

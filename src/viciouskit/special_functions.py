@@ -45,53 +45,47 @@ def _gl_nodes(order):
     return _GL_CACHE[order]
 
 
-def _gl_integrate(f, a, b):
-    """Composite Gauss-Legendre integral of f over [a, b]: 8 panels of 32 nodes.
-
-    a, b may be arrays (broadcast); f must accept arrays.
-    """
-    panels = 8
-    xi, wi = _gl_nodes(32)
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    total = np.zeros(a.shape)
-    span = b - a
-    for k in range(panels):
-        lo = a + span * edges[k]
-        hi = a + span * edges[k + 1]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        # nodes along a new leading axis
-        pts = mid[None, ...] + half[None, ...] * xi.reshape((-1,) + (1,) * a.ndim if a.ndim else (-1,))
-        vals = f(pts)
-        total = total + half * np.tensordot(wi, vals, axes=(0, 0))
-    return total
-
-
 def psi_hat(u1, u2):
     """Two-rectangle double integral kernel for the wall survival Pfaffian.
 
     (2/pi) [ int_0^{u1} dv1 int_{u1-u2}^{u2-u1} dv2 e^{-v1^2-(v1-v2)^2}
            - int_{u1}^{u2} dv1 int_{u2-u1}^{u1+u2} dv2 e^{-v1^2-(v1-v2)^2} ].
 
-    The inner v2 integral is done in closed form with erf, the outer one
-    by composite Gauss-Legendre.  Accepts broadcastable arrays with
-    0 <= u1 <= u2 elementwise.
+    The inner v2 integral is done in closed form with erf, each outer one by
+    a single 24-node Gauss-Legendre panel.  The outer integrands are at most
+    2 e^{-v1^2}, so both outer intervals are cut at v1 = 6.5: the part left
+    off is below e^{-42} relative to the O(1) first term.
+
+    The reflection of the chamber 0 < u1 < u2 that swaps its two walls
+    gives psi_hat(u1, u2) = psi_hat((u2 - u1)/sqrt(2), (u2 + u1)/sqrt(2)).
+    The first term's erf difference cancels when u2 - u1 is small against
+    u1, the second's when it is large, so each term is taken at whichever
+    of the two points keeps its own erf difference free of cancellation.
+
+    Accepts broadcastable arrays with 0 <= u1 <= u2 elementwise.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if np.any(u1 < 0) or np.any(u2 < u1):
         raise ValueError("psi_hat requires 0 <= u1 <= u2")
+    r2 = math.sqrt(2.0)
+    d = u2 - u1
+    m1, m2 = d / r2, (u2 + u1) / r2
+    fold = d < r2 * u1                  # then the reflected point has the wider gap
+    w1, w2 = np.where(fold, m1, u1), np.where(fold, m2, u2)
+    n1, n2 = np.where(fold, u1, m1), np.where(fold, u2, m2)
+    xi, wi = _gl_nodes(24)
+    xi = xi.reshape((-1,) + (1,) * w1.ndim)
+
+    def panel(inner, a, b):
+        half = 0.5 * (b - a)
+        v = a + half * (xi + 1.0)
+        return half * np.tensordot(wi, np.exp(-v ** 2) * inner(v), axes=(0, 0))
 
     # int_a^b e^{-(v1-v2)^2} dv2 = (sqrt(pi)/2) [erf(v1-a) - erf(v1-b)]
-    def inner1(v1):
-        return np.exp(-v1 ** 2) * (erf(v1 - (u1 - u2)) - erf(v1 - (u2 - u1)))
-
-    def inner2(v1):
-        return np.exp(-v1 ** 2) * (erf(v1 - (u2 - u1)) - erf(v1 - (u1 + u2)))
-
-    t1 = _gl_integrate(inner1, np.zeros_like(u1), u1)
-    t2 = _gl_integrate(inner2, u1, u2)
+    dw, dn, sn = w2 - w1, n2 - n1, n1 + n2
+    t1 = panel(lambda v: erf(v + dw) - erf(v - dw), 0.0, np.minimum(w1, 6.5))
+    t2 = panel(lambda v: erf(v - dn) - erf(v - sn), n1, np.minimum(n2, np.maximum(n1, 6.5)))
     return (t1 - t2) / math.sqrt(math.pi)
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from viciouskit.densities import (ModelSpec, de_bruijn_check, drift, drift_batch,
-                                  g_density, imhof_check, km_density, p_density,
-                                  survival, survival_asymptotics, survival_batch)
+from viciouskit.densities import (ModelSpec, _survival_matrix, de_bruijn_check, drift,
+                                  drift_batch, g_density, imhof_check, km_density,
+                                  p_density, survival, survival_asymptotics, survival_batch)
 from viciouskit.quadrature import ordered_grid
 from viciouskit.special_functions import h_hat_poly, h_poly, psi, psi_hat
 
@@ -202,6 +202,39 @@ def test_drift_guard_near_boundary():
     np.testing.assert_allclose(drift(spec, 0.5, x), _two_walker_drift(0.5, x), rtol=1e-12)
     with pytest.raises(ValueError):
         drift(spec, 1.0, np.array([0.0, 1.0]))     # singular at the horizon
+
+
+@pytest.mark.parametrize("n,wall", [(5, False), (4, True)])
+def test_drift_matches_high_precision_inverse(n, wall):
+    # sum_j (A^-1)_jk dA_kj/dx_k with A^-1 the 50-digit inverse of the same
+    # float64 survival matrices that drift_batch eliminates.  Relative error
+    # 1e-8, or eps * cond(A) for the few rows (close pairs) where float64
+    # input alone allows more: a backward-stable inverse gets no closer
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.Generator(np.random.Philox(key=[8, n]))
+    spec = ModelSpec(n, horizon=1.0, wall=wall)
+    xs = np.sort(rng.uniform(0.05, 3.0, size=(40, n)), axis=1)
+    a, d = _survival_matrix(spec.horizon - 0.3, xs, wall)
+    ref = np.empty_like(xs)
+    with mp.workdps(50):
+        for r in range(len(xs)):
+            inv = mp.inverse(mp.matrix(a[r].tolist()))
+            for k in range(n):
+                ref[r, k] = float(mp.fsum(inv[j, k] * d[r, k, j] for j in range(a.shape[-1])))
+    b = drift_batch(spec, 0.3, xs)
+    bound = np.maximum(1e-8, np.finfo(float).eps * np.linalg.cond(a))
+    assert np.all(np.abs(b - ref) / np.abs(ref) <= bound[:, None])
+
+
+def test_coincident_walkers_singular_matrix():
+    # coincident walkers: survival is exactly +0.0 and the drift is undefined
+    s = survival_batch(0.8, [[0.0, 0.0, 1.0]])
+    assert s[0] == 0.0 and not np.signbit(s[0])
+    rows = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="row 1 .* singular: the drift is undefined"):
+        drift_batch(ModelSpec(3, horizon=1.0), 0.2, rows)
+    with pytest.raises(ValueError, match="row 0 .* singular"):
+        drift_batch(ModelSpec(3, horizon=1.0, wall=True), 0.2, np.array([[0.5, 1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("horizon", [1.0, math.inf])

@@ -55,6 +55,48 @@ def test_psi_hat_limit_is_psi_product_difference():
     assert psi_hat(8.0, 16.0) == pytest.approx(1.0, abs=1e-10)
 
 
+def _psi_hat_mp(mp, u1, u2):
+    """psi_hat from its definition at mpmath's working precision.
+
+    The inner integral is the same erf difference; the outer ones are
+    tanh-sinh quadratures split at fixed points.  Past v = 12 the outer
+    integrands are below e^{-144} and are left off.
+    """
+    u1, u2 = mp.mpf(u1), mp.mpf(u2)
+    d, s = u2 - u1, u1 + u2
+
+    def outer(f, a, b):
+        return mp.quad(f, [a] + [c for c in (0.5, 1, 2, 3, 4, 6, 9) if a < c < b] + [b])
+
+    t1 = outer(lambda v: mp.exp(-v * v) * (mp.erf(v + d) - mp.erf(v - d)), mp.mpf(0), min(u1, 12))
+    t2 = outer(lambda v: mp.exp(-v * v) * (mp.erf(v - d) - mp.erf(v - s)), u1, min(u2, 12)) \
+        if u1 < 12 else 0
+    return (t1 - t2) / mp.sqrt(mp.pi)
+
+
+def _psi_hat_rel_errors(points):
+    mp = pytest.importorskip("mpmath")
+    pts = np.array(points)
+    got = psi_hat(pts[:, 0], pts[:, 1])
+    with mp.workdps(40):
+        ref = np.array([float(_psi_hat_mp(mp, u1, u2)) for u1, u2 in points])
+    return np.abs(got - ref) / ref
+
+
+def test_psi_hat_matches_mpmath_on_grid():
+    # u1 from 0.01 to 100 with u2 - u1 >= 0.05 u1: below u ~ 0.1 the two
+    # terms of psi_hat cancel to O(u^4) from O(u^2), which sets the error
+    points = [(u1, u1 * r) for u1 in (0.01, 0.03, 0.1, 0.5, 1.0, 3.0, 6.5, 10.0, 100.0)
+              for r in (1.05, 1.3, 3.0, 20.0)]
+    assert np.max(_psi_hat_rel_errors(points)) <= 5e-12
+
+
+def test_psi_hat_matches_mpmath_near_collision():
+    # u2 - u1 = 1e-3 u1 and 1e-2 u1, from u1 = 1e-3 to 100
+    points = [(u, u * (1 + g)) for u in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0) for g in (1e-3, 1e-2)]
+    assert np.max(_psi_hat_rel_errors(points)) <= 1e-9
+
+
 def test_chamber_polynomials():
     x = np.array([1.0, 3.0, 4.0])
     assert h_poly(x) == pytest.approx((3 - 1) * (4 - 1) * (4 - 3))
