@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .quadrature import ordered_grid
-from .special_functions import _gl_nodes
+from .quadrature import SLAB_POINTS, ordered_grid
 
 __all__ = [
     "Histogram",
@@ -131,50 +130,37 @@ def make_histogram(values, bins=50, range_=None):
 # Quadrature marginalization (N <= 3)
 
 
-def _gl(a, b, order):
-    xi, wi = _gl_nodes(order)
-    return a + 0.5 * (xi + 1.0) * (b - a), 0.5 * wi * (b - a)
-
-
 def marginalize(density, n, coordinate, grid, lo, hi, order=80):
     """Marginal density of one coordinate of an ordered-chamber density.
 
     density takes an (..., n) array; returns (values on grid, normalization
-    drift), drift being |trapezoid integral - 1|.
+    drift), drift being |trapezoid integral - 1|.  At each grid value g the
+    coordinates below it run over ordered_grid(., lo, g) and those above
+    over ordered_grid(., g, hi); density is called once per slab of grid
+    values, at most SLAB_POINTS points per call.
     """
     grid = np.asarray(grid, dtype=float)
     if not (0 <= coordinate < n):
         raise ValueError("coordinate out of range")
-    if n == 1:
-        vals = density(grid[:, None])
-    elif n == 2:
-        vals = np.empty_like(grid)
-        for i, g in enumerate(grid):
-            if coordinate == 0:
-                y, w = _gl(g, hi, order)
-                pts = np.stack([np.full_like(y, g), y], axis=-1)
-            else:
-                y, w = _gl(lo, g, order)
-                pts = np.stack([y, np.full_like(y, g)], axis=-1)
-            vals[i] = float(np.sum(density(pts) * w))
-    elif n == 3:
-        vals = np.empty_like(grid)
-        for i, g in enumerate(grid):
-            if coordinate == 0:
-                pts2, w2 = ordered_grid(2, g, hi, order)
-                pts = np.concatenate([np.full(pts2.shape[:-1] + (1,), g), pts2], axis=-1)
-            elif coordinate == 2:
-                pts2, w2 = ordered_grid(2, lo, g, order)
-                pts = np.concatenate([pts2, np.full(pts2.shape[:-1] + (1,), g)], axis=-1)
-            else:
-                ya, wa = _gl(lo, g, order)
-                yb, wb = _gl(g, hi, order)
-                pts = np.stack(np.broadcast_arrays(ya[:, None], np.full((order, order), g),
-                                                   yb[None, :]), axis=-1)
-                w2 = wa[:, None] * wb[None, :]
-            vals[i] = float(np.sum(density(pts) * w2))
-    else:
+    if n > 3:
         raise ValueError("marginalize supports n <= 3")
+    below, above = coordinate, n - 1 - coordinate
+    vals = np.empty_like(grid)
+    rows = max(SLAB_POINTS // order ** (n - 1), 1)
+    for i in range(0, len(grid), rows):
+        g = grid[i:i + rows]
+        pts = np.empty((len(g),) + (order,) * (n - 1) + (n,))
+        wts = np.ones((len(g),) + (1,) * (n - 1))
+        pts[..., coordinate] = g.reshape(wts.shape)
+        if below:
+            p, w = ordered_grid(below, lo, g, order)
+            pts[..., :below] = p.reshape(p.shape[:-1] + (1,) * above + (below,))
+            wts = wts * w.reshape(w.shape + (1,) * above)
+        if above:
+            p, w = ordered_grid(above, g, hi, order)
+            pts[..., below + 1:] = p.reshape((len(g),) + (1,) * below + p.shape[1:])
+            wts = wts * w.reshape((len(g),) + (1,) * below + w.shape[1:])
+        vals[i:i + rows] = np.sum(density(pts) * wts, axis=tuple(range(1, n)))
     drift = abs(float(np.trapezoid(vals, grid)) - 1.0)
     return vals, drift
 

@@ -31,7 +31,7 @@ ACCEPTANCE_FLOOR = 1e-6
 HALVING_BUDGET = 20
 HORIZON_GUARD = 1e-4      # g-family integration stops at T * (1 - guard)
 MAX_GRID_COLUMNS = 65
-WALKER_ROUND_ENTRIES = 1 << 21   # walker step entries drawn per round
+ROUND_ENTRIES = 1 << 21   # step entries drawn per round, walkers and Brownian tuples
 
 
 @dataclass(frozen=True)
@@ -121,29 +121,34 @@ def _grid_columns(m):
 
 
 # ---------------------------------------------------------------------------
-# Lattice walkers
+# Lattice walkers (their round-based engine also runs the non-collision oracle)
 
 
-def _advance_block(rng, pos0, m, cols, batch, wall):
-    """Survivors of `batch` walker proposals over m steps, at the steps in cols.
+def _walker_steps(rng, size):
+    return 2 * rng.integers(0, 2, size=size, dtype=np.int8) - 1
 
-    Proposals advance in rounds of k = max(t, 8) steps from the time t
-    reached, at most WALKER_ROUND_ENTRIES step entries per round.  Rows
-    that break strict order (or go below 0 behind the wall) within a round
-    are dropped, so a proposal draws about twice its lifetime in steps.
-    Returns int64 positions, shape (survivors, len(cols), n).
+
+def _advance_block(rng, pos0, m, cols, batch, wall, draw):
+    """Survivors of `batch` proposals over m steps, at the steps in cols.
+
+    draw(rng, size) gives the steps: int8 +-1 for walkers (_walker_steps),
+    Gaussian increments for Brownian tuples.  Proposals advance in rounds
+    of k = max(t, 8) steps from the time t reached, at most ROUND_ENTRIES
+    step entries per round.  Rows that break strict order (or go below 0
+    behind the wall) at any step of a round are dropped at its end, so a
+    proposal draws about twice its lifetime in steps.  Callers keep
+    batch * len(pos0) <= ROUND_ENTRIES, so every round advances.  Returns
+    positions in the dtype of pos0, shape (survivors, len(cols), n).
     """
     n = len(pos0)
-    rec = np.empty((batch, len(cols), n), dtype=np.int64)
+    rec = np.empty((batch, len(cols), n), dtype=pos0.dtype)
     rec[:, 0] = pos0
     rows = np.arange(batch)             # rec row of each live proposal
     pos = np.broadcast_to(pos0, (batch, n))
     t, c = 0, 1                         # time reached, next column to record
     while t < m and len(rows):
-        k = min(max(t, 8), m - t, WALKER_ROUND_ENTRIES // (len(rows) * n))
-        path = rng.integers(0, 2, size=(len(rows), k, n), dtype=np.int8).astype(np.int64)
-        path *= 2
-        path -= 1
+        k = min(max(t, 8), m - t, ROUND_ENTRIES // (len(rows) * n))
+        path = draw(rng, (len(rows), k, n)).astype(pos0.dtype, copy=False)
         np.cumsum(path, axis=1, out=path)
         path += pos[:, None, :]
         ok = np.all(path[:, :, 1:] > path[:, :, :-1], axis=(1, 2))
@@ -167,9 +172,9 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
     are discarded.  Proposals advance in blocks, round by round, with round
     lengths doubling in the time reached, and each is dropped at the end of
     the round holding its first violation (early kill), so the law is the
-    same as checking whole paths.  WALKER_ROUND_ENTRIES caps the step
-    entries drawn per round and the recorded entries per block, so memory
-    does not grow with samples, m or the acceptance rate.  Paths are
+    same as checking whole paths.  ROUND_ENTRIES caps the step entries
+    drawn per round and the recorded entries per block, so memory does not
+    grow with samples, m or the acceptance rate.  Paths are
     returned in diffusion scaling, position/scale against time
     step/scale^2, on a uniform subgrid.  Every survivor of a block counts
     as accepted, so accepted/proposed is an unbiased survival estimate.
@@ -184,7 +189,7 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
         raise ValueError("horizon too short for this scale: zero lattice steps")
     cols = _grid_columns(m)
     pos0 = np.asarray(u.positions, dtype=np.int64)
-    block_cap = max(WALKER_ROUND_ENTRIES // (n * max(len(cols), 8)), 1)
+    block_cap = max(ROUND_ENTRIES // (n * max(len(cols), 8)), 1)
 
     paths = np.empty((cfg.samples, n, len(cols)))
     got = 0
@@ -195,7 +200,7 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
         batch = min(max(4 * quota, 1024), block_cap)
         stop = got + quota
         while got < stop:
-            good = _advance_block(rng, pos0, m, cols, batch, u.wall)
+            good = _advance_block(rng, pos0, m, cols, batch, u.wall, _walker_steps)
             proposed += batch
             accepted += len(good)
             take = min(len(good), stop - got)
@@ -415,34 +420,28 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
 
     Discretized Brownian tuples; returns (estimate, standard_error).  The
     discretization bias is first order in sqrt(step) (order checks should
-    budget an allowance of that size on top of 3 standard errors).
+    budget an allowance of that size on top of 3 standard errors).  Tuples
+    run on the walker engine (_advance_block) with Gaussian steps, in
+    blocks of at most ROUND_ENTRIES // N tuples: order is checked at every
+    step, a tuple is dropped in the round of its first violation, and
+    memory stays bounded whatever samples and t are.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
+    if n == 0 or samples < 1 or not step > 0 or not 0 <= t < math.inf:
+        raise ValueError("need a nonempty start, samples >= 1, step > 0 and finite t >= 0")
     if np.any(np.diff(x) <= 0) or (wall and x[0] <= 0):
         raise ValueError("start must be an interior chamber point")
     n_steps = max(int(math.ceil(t / step)), 1)
-    dt = t / n_steps
+    sd = math.sqrt(t / n_steps)
+    gauss = lambda rng, size: rng.normal(scale=sd, size=size)
     rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
-    alive_total = 0
-    chunk = max(min(samples, 10_000_000 // max(n_steps * n, 1)), 1)
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        pos = np.broadcast_to(x, (b, n)).copy()
-        alive = np.ones(b, dtype=bool)
-        for _ in range(n_steps):
-            pos[alive] += rng.normal(scale=math.sqrt(dt), size=(int(alive.sum()), n))
-            ok = np.all(pos[alive][:, 1:] > pos[alive][:, :-1], axis=1)
-            if wall:
-                ok &= pos[alive][:, 0] > 0
-            idx = np.flatnonzero(alive)
-            alive[idx[~ok]] = False
-            if not alive.any():
-                break
-        alive_total += int(alive.sum())
-        done += b
-    p = alive_total / samples
+    block = ROUND_ENTRIES // n
+    alive = 0
+    for done in range(0, samples, block):
+        b = min(block, samples - done)
+        alive += len(_advance_block(rng, x, n_steps, np.array([0]), b, wall, gauss))
+    p = alive / samples
     se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
     return p, se
 

@@ -247,6 +247,42 @@ def test_noncollision_requires_interior_wall_start():
         noncollision_mc(1.0, (0.0, 1.0), samples=1000, step=1e-2, wall=True)
 
 
+def test_noncollision_rejects_bad_inputs():
+    for kwargs in ({"samples": 0}, {"step": 0.0}, {"step": -1e-3}):
+        with pytest.raises(ValueError):
+            noncollision_mc(1.0, (0.0, 1.0), **kwargs)
+    with pytest.raises(ValueError):
+        noncollision_mc(-1.0, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        noncollision_mc(1.0, ())
+    # no time elapsed: an interior start has not collided
+    assert noncollision_mc(0.0, (0.0, 1.0), samples=50)[0] == 1.0
+
+
+def _noncollision_step_by_step(t, x, samples, step, wall, seed):
+    """Reference estimator: every tuple advanced and checked one step at a time."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
+    n_steps = max(int(math.ceil(t / step)), 1)
+    pos = np.tile(np.asarray(x, dtype=float), (samples, 1))
+    alive = np.ones(samples, dtype=bool)
+    for _ in range(n_steps):
+        pos += rng.normal(scale=math.sqrt(t / n_steps), size=pos.shape)
+        alive &= np.all(pos[:, 1:] > pos[:, :-1], axis=1)
+        if wall:
+            alive &= pos[:, 0] > 0
+    p = alive.mean()
+    return p, math.sqrt(p * (1 - p) / samples)
+
+
+@pytest.mark.parametrize("x, wall", [((0.0, 1.0), False), ((0.5, 1.5), True)])
+def test_noncollision_rounds_keep_the_stepwise_law(x, wall):
+    # at 20 steps a check at round ends only (steps 8, 16, 20) would
+    # overestimate survival by far more than the tolerance
+    p, se = noncollision_mc(1.0, x, samples=20_000, step=0.05, wall=wall, seed=3)
+    ref, ref_se = _noncollision_step_by_step(1.0, x, 20_000, 0.05, wall, seed=3)
+    assert abs(p - ref) < 4 * math.hypot(se, ref_se)
+
+
 def test_endpoint_values():
     ens = simulate_sde(SimConfig("sde-p", ModelSpec(2), step=1e-2, t_end=0.3,
                                  samples=40, seed=2))

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from viciouskit import quadrature
+from viciouskit.densities import de_bruijn_check
 from viciouskit.quadrature import chamber_integral, ordered_grid
 
 
@@ -38,3 +41,41 @@ def test_ordered_grid_shapes_and_bounds():
     assert pts.min() >= -1.0 and pts.max() <= 2.0
     with pytest.raises(ValueError):
         ordered_grid(4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("slab_points", [quadrature.SLAB_POINTS, 500])
+@pytest.mark.parametrize("order", [90, 120])
+def test_chamber_integral_slabs_match_one_shot_sum(order, slab_points, monkeypatch):
+    # the slabs split the first node axis; neither order is a slab multiple,
+    # and the small cap also splits n = 2 and gives one-row slabs at n = 3
+    monkeypatch.setattr(quadrature, "SLAB_POINTS", slab_points)
+
+    def f(y):
+        return np.exp(-np.sum((y - 0.3) ** 2, axis=-1)) * (1.0 + y[..., -1] ** 2)
+
+    for n in (1, 2, 3):
+        pts, wts = ordered_grid(n, -5.0, 6.0, order)
+        one_shot = float(np.sum(f(pts) * wts))
+        assert chamber_integral(f, n, -5.0, 6.0, order) == pytest.approx(one_shot, rel=1e-13)
+
+
+def test_ordered_grid_array_bounds_stack_scalar_rules():
+    his = np.array([0.5, 1.0, 3.0])
+    pts, wts = ordered_grid(2, -1.0, his, order=12)
+    assert pts.shape == (3, 12, 12, 2) and wts.shape == (3, 12, 12)
+    for k, hi in enumerate(his):
+        p, w = ordered_grid(2, -1.0, hi, order=12)
+        np.testing.assert_array_equal(pts[k], p)
+        np.testing.assert_array_equal(wts[k], w)
+
+
+def test_de_bruijn_n3_memory_is_bounded():
+    # one-shot evaluation of the 120^3-point integrand peaked at 290 MiB
+    tracemalloc.start()
+    try:
+        residual = de_bruijn_check(3, "gaussian", [0.3, 1.1, 2.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-4
+    assert peak < 128 * 2 ** 20
