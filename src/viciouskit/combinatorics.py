@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from .special_functions import constants, h_poly, h_hat_poly
+from .special_functions import _small_gap_survival
 
 __all__ = [
     "LatticeConfig",
@@ -277,9 +277,5 @@ def scaled_survival(scale, t, u):
     m = time_lattice(scale, t)
     surv = survival_probability(m, u, exact=False)
     x = np.asarray(u.positions, dtype=float) / (scale * math.sqrt(t))
-    consts = constants(len(u))
-    if u.wall:
-        pred = h_hat_poly(x) / consts.c_tilde
-    else:
-        pred = h_poly(x) / consts.c_bar
+    pred = _small_gap_survival(x, u.wall)
     return surv, pred, surv / pred if pred != 0 else math.inf

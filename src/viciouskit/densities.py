@@ -15,7 +15,8 @@ import numpy as np
 
 from . import linalg
 from .quadrature import chamber_integral
-from .special_functions import _psi_hat_grad, constants, h_hat_poly, h_poly, psi, psi_hat
+from .special_functions import (_psi_hat_grad, _small_gap_survival, constants, h_hat_poly,
+                                h_poly, psi, psi_hat)
 
 __all__ = [
     "ModelSpec",
@@ -302,11 +303,7 @@ def survival_asymptotics(t, x, wall=False):
         raise ValueError("time must be positive")
     x = _check_chamber(x, wall)
     exact = survival(t, x, wall)
-    consts = constants(len(x))
-    if wall:
-        pred = h_hat_poly(x / math.sqrt(t)) / consts.c_tilde
-    else:
-        pred = h_poly(x / math.sqrt(t)) / consts.c_bar
+    pred = _small_gap_survival(x / math.sqrt(t), wall)
     return exact, pred, exact / pred
 
 

@@ -198,11 +198,12 @@ def _suite_identities(samples, seed):
     from .combinatorics import LatticeConfig, scaled_survival
     from .densities import (ModelSpec, de_bruijn_check, g_density, imhof_check,
                             p_density, survival_asymptotics)
+    from .montecarlo import _philox
     from .rmt import eigen_density
     from .special_functions import mehta_integral, mehta_integral_quadrature
 
     out = []
-    rng = np.random.Generator(np.random.Philox(key=[seed, 10]))
+    rng = _philox(seed, 10)
 
     # normalization of the four origin densities, N = 2
     for wall in (False, True):
@@ -321,7 +322,7 @@ def _suite_combinatorics(samples, seed):
 def _suite_montecarlo(samples, seed):
     from .combinatorics import LatticeConfig, survival_probability
     from .densities import ModelSpec, survival
-    from .montecarlo import (SimConfig, endpoint_values, noncollision_mc,
+    from .montecarlo import (SimConfig, _philox, endpoint_values, noncollision_mc,
                              sample_origin_law, simulate_sde, simulate_walkers)
 
     out = []
@@ -351,7 +352,7 @@ def _suite_montecarlo(samples, seed):
                            abs(est - exact), 3 * se + allowance, metadata={"exact": exact}))
 
     # SDE endpoints vs exact origin laws
-    rng = np.random.Generator(np.random.Philox(key=[seed, 30]))
+    rng = _philox(seed, 30)
     k = min(samples, 3000)
     ens = simulate_sde(SimConfig("sde-p", ModelSpec(2), step=1e-3, t_end=1.0,
                                  samples=k, seed=seed))

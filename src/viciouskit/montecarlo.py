@@ -15,7 +15,7 @@ import numpy as np
 from .combinatorics import LatticeConfig, time_lattice
 from .densities import ModelSpec, drift_batch, survival_batch
 from .linalg import symmetric_eigenvalues
-from .special_functions import constants, h_hat_poly, h_poly
+from .special_functions import _small_gap_survival
 
 __all__ = [
     "SimConfig",
@@ -101,10 +101,13 @@ class PathEnsemble:
             raise ValueError("time grid must be strictly increasing")
 
 
-def _stream_rng(cfg, stream):
-    return np.random.Generator(
-        np.random.Philox(key=[cfg.seed & 0xFFFFFFFFFFFFFFFF, stream])
-    )
+def _philox(seed, stream):
+    """Philox generator keyed by (seed mod 2^64, stream): every seeded draw in the package.
+
+    The key is built as uint64, so seeds at or above 2^63 stay exact.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _stream_quotas(samples, streams):
@@ -196,7 +199,7 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
     accepted = 0
     proposed = 0
     for s, quota in enumerate(_stream_quotas(cfg.samples, cfg.streams)):
-        rng = _stream_rng(cfg, s)
+        rng = _philox(cfg.seed, s)
         batch = min(max(4 * quota, 1024), block_cap)
         stop = got + quota
         while got < stop:
@@ -219,19 +222,27 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
 # ---------------------------------------------------------------------------
 # Exact origin-law samplers (warm starts)
 #
-# The GOE/GUE matrix builders also serve rmt.sample_ensemble.
+# The two-matrix builder also serves rmt.sample_ensemble.
 
 
-def _goe_matrices(rng, n, variance, draws):
-    g = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
-    return (g + np.swapaxes(g, 1, 2)) / 2.0
+def _two_matrix_spectra(rng, n, gue_var, goe_var, draws):
+    """Ascending spectra of GUE(gue_var) + GOE(goe_var), draws of them.
 
-
-def _gue_matrices(rng, n, variance, draws):
-    x = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
-    y = rng.normal(scale=math.sqrt(variance), size=(draws, n, n))
-    g = x + 1j * y
-    return (g + np.conj(np.swapaxes(g, 1, 2))) / 2.0
+    Under the trace weight exp{-Tr H^2 / (2 sigma^2)} the real symmetric
+    part has diagonal variance sigma^2 and off-diagonal sigma^2/2; the
+    Hermitian part has real and imaginary off-diagonal parts of variance
+    sigma^2/2 each.  The GUE part is drawn first; a zero variance draws
+    nothing, so GOE alone takes the real eigensolver.
+    """
+    mats = 0.0
+    if gue_var > 0:
+        x = rng.normal(scale=math.sqrt(gue_var), size=(draws, n, n))
+        g = x + 1j * rng.normal(scale=math.sqrt(gue_var), size=(draws, n, n))
+        mats = mats + (g + np.conj(np.swapaxes(g, 1, 2))) / 2.0
+    if goe_var > 0:
+        g = rng.normal(scale=math.sqrt(goe_var), size=(draws, n, n))
+        mats = mats + (g + np.swapaxes(g, 1, 2)) / 2.0
+    return symmetric_eigenvalues(mats)
 
 
 def _antisym_spectra(rng, n, variance, draws):
@@ -283,48 +294,39 @@ def _rejection_fill(propose, accept_prob, rng, samples, n, max_rounds=500):
 def sample_origin_law(spec, t, samples, rng):
     """Exact draws from the origin-start transition density at time t.
 
-    Free p-family: GUE spectra.  Wall p-family: odd antisymmetric spectra.
-    Finite-horizon families: the matching h-transform-free proposal is
-    thinned by the non-collision probability of the remaining window,
-    which is a valid acceptance probability (at most one), so the draws
-    are exact, not approximate.
+    Free walkers, any horizon: the two-matrix model GUE(t (T-t)/T) +
+    GOE(t^2/T), one eigensolve per draw and no rejection (GUE(t) at
+    T = inf, GOE(T) at t = T).  Wall p-family: odd antisymmetric spectra.
+    Wall finite horizon: an h-transform proposal thinned by the
+    non-collision probability of the remaining window, a valid acceptance
+    probability (at most one), so the draws are exact, not approximate.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     if not (0 < t <= T):
         raise ValueError("need 0 < t <= horizon")
+    if not wall:
+        return _two_matrix_spectra(rng, n, t * (1 - t / T), t * t / T, samples)
     if math.isinf(T):
-        if wall:
-            return _antisym_spectra(rng, n, t, samples)
-        return symmetric_eigenvalues(_gue_matrices(rng, n, t, samples))
+        return _antisym_spectra(rng, n, t, samples)
     tau = T - t
     if t > T / 2:
-        # proposal already weighted by one h factor; thinning by the
+        # proposal already weighted by one h_hat factor; thinning by the
         # non-collision probability (<= 1) of the remaining window is exact
-        if wall:
-            propose = lambda k: _wishart_sqrt_spectra(rng, n, t, k)
-        else:
-            propose = lambda k: symmetric_eigenvalues(_goe_matrices(rng, n, t, k))
-        accept = lambda y: survival_batch(tau, y, wall)
+        propose = lambda k: _wishart_sqrt_spectra(rng, n, t, k)
+        accept = lambda y: survival_batch(tau, y, True)
         return _rejection_fill(propose, accept, rng, samples, n)
-    # short-time branch: the h^2-weighted proposal cancels the vanishing
+    # short-time branch: the h_hat^2-weighted proposal cancels the vanishing
     # survival factor; accept with survival / small-gap prediction, which
     # stays below the 1.05 envelope (asserted per batch, never clipped)
-    consts = constants(n)
     envelope = 1.05
-    if wall:
-        propose = lambda k: _antisym_spectra(rng, n, t, k)
-        pred = lambda y: h_hat_poly(y / math.sqrt(tau)) / consts.c_tilde
-    else:
-        propose = lambda k: symmetric_eigenvalues(_gue_matrices(rng, n, t, k))
-        pred = lambda y: h_poly(y / math.sqrt(tau)) / consts.c_bar
 
     def accept(y):
-        ratio = survival_batch(tau, y, wall) / pred(y)
+        ratio = survival_batch(tau, y, True) / _small_gap_survival(y / math.sqrt(tau), True)
         if np.any(ratio > envelope):
             raise RuntimeError("survival exceeded its small-gap envelope")
         return ratio / envelope
 
-    return _rejection_fill(propose, accept, rng, samples, n)
+    return _rejection_fill(lambda k: _antisym_spectra(rng, n, t, k), accept, rng, samples, n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def simulate_sde(cfg):
     quotas = _stream_quotas(cfg.samples, cfg.streams)
     blocks = []
     for s, quota in enumerate(quotas):
-        rng = _stream_rng(cfg, s)
+        rng = _philox(cfg.seed, s)
         if cfg.start is None:
             x = sample_origin_law(spec, t0, quota, rng)
         else:
@@ -435,7 +437,7 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     n_steps = max(int(math.ceil(t / step)), 1)
     sd = math.sqrt(t / n_steps)
     gauss = lambda rng, size: rng.normal(scale=sd, size=size)
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
+    rng = _philox(seed, 0)
     block = ROUND_ENTRIES // n
     alive = 0
     for done in range(0, samples, block):

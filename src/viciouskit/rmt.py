@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ModelSpec
-from .linalg import symmetric_eigenvalues
-from .montecarlo import _goe_matrices, _gue_matrices, sample_origin_law
+from .densities import ModelSpec, g_density
+from .harness import ks_test, marginal_cdf
+from .montecarlo import _philox, _two_matrix_spectra
 from .special_functions import constants, h_poly
 
 __all__ = [
@@ -32,10 +32,6 @@ class SpectrumSample:
     seed: int
 
 
-def _rng(seed, stream=0):
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
-
-
 def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
     """Sorted eigenvalue samples from GOE, GUE, or the interpolating ensemble.
 
@@ -44,30 +40,26 @@ def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
     the Hermitian one has real and imaginary off-diagonal parts of variance
     sigma^2/2 each.  kind="PM" draws the matrix convolution
     GUE(2 alpha^2 v^2) + GOE(2 (1-alpha^2) v^2), v^2 = 1/(2 (1+alpha^2)).
+    Every kind is one (GUE, GOE) variance pair of the two-matrix builder
+    that also gives montecarlo.sample_origin_law its free draws.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     if variance <= 0:
         raise ValueError("variance must be positive")
-    rng = _rng(seed)
     if kind == "GOE":
-        mats = _goe_matrices(rng, n, variance, samples)
+        gue_var, goe_var = 0.0, variance
     elif kind == "GUE":
-        mats = _gue_matrices(rng, n, variance, samples)
+        gue_var, goe_var = variance, 0.0
     elif kind == "PM":
         if alpha is None or not (0.0 <= alpha <= 1.0):
             raise ValueError("PM requires alpha in [0, 1]")
         v2 = 1.0 / (2.0 * (1.0 + alpha ** 2))
         gue_var = 2.0 * alpha ** 2 * v2 * variance
         goe_var = 2.0 * (1.0 - alpha ** 2) * v2 * variance
-        mats = np.zeros((samples, n, n), dtype=complex)
-        if gue_var > 0:
-            mats = mats + _gue_matrices(rng, n, gue_var, samples)
-        if goe_var > 0:
-            mats = mats + _goe_matrices(rng, n, goe_var, samples)
     else:
         raise ValueError("unknown ensemble %r" % (kind,))
-    eig = symmetric_eigenvalues(mats)
+    eig = _two_matrix_spectra(_philox(seed, 0), n, gue_var, goe_var, samples)
     return SpectrumSample(ensemble=kind, variance=variance, alpha=alpha, eigenvalues=eig, seed=seed)
 
 
@@ -96,33 +88,30 @@ def eigen_density(kind, x, variance=1.0):
 
 
 def pm_bridge_check(n, horizon, t, samples=10_000, seed=0, level=0.01):
-    """Two-sample comparison of the rescaled endpoint law with the PM ensemble.
+    """One-sample comparison of the PM ensemble with the finite-horizon law.
 
-    Side (a): eigenvalues of the interpolating ensemble at
-    alpha = sqrt((T-t)/T).  Side (b): exact origin-start endpoint draws at
-    time t (sample_origin_law, any N) rescaled by sqrt(T/(t(2T-t))).  A
-    single global scale is fitted by matching second moments and reported
-    alongside the per-coordinate and top-eigenvalue KS verdicts.
+    PM spectra at alpha = sqrt((T-t)/T), scaled by sqrt(t(2T-t)/T) --
+    the two-matrix model GUE(t(T-t)/T) + GOE(t^2/T) -- against the
+    quadrature marginals of the origin-start g_density at time t.  No
+    parameter is fitted.  Returns one KS report per coordinate and one for
+    the top eigenvalue.  n <= 3, the reach of the quadrature marginals.
     """
-    from .harness import ks_two_sample
-
     if not (0 < t < horizon):
         raise ValueError("need 0 < t < horizon")
+    if n > 3:
+        raise ValueError("pm_bridge_check supports n <= 3")
     alpha = math.sqrt((horizon - t) / horizon)
     pm = sample_ensemble("PM", n, alpha=alpha, samples=samples, seed=seed).eigenvalues
-    endpoint = sample_origin_law(ModelSpec(n, horizon=horizon), t, samples, _rng(seed + 1))
-    rescaled = endpoint * math.sqrt(horizon / (t * (2 * horizon - t)))
-    scale = math.sqrt(np.mean(rescaled ** 2) / np.mean(pm ** 2))
-    pm_scaled = pm * scale
+    y = pm * math.sqrt(t * (2 * horizon - t) / horizon)
+    spec = ModelSpec(n, horizon=horizon)
+    span = 8 * math.sqrt(t)
     reports = []
     for k in range(n):
-        rep = ks_two_sample(pm_scaled[:, k], rescaled[:, k], level=level,
-                            name="pm_bridge_coord%d_t%g" % (k, t))
-        rep.metadata["fitted_scale"] = scale
-        rep.metadata["alpha"] = alpha
-        reports.append(rep)
-    top = ks_two_sample(pm_scaled[:, -1], rescaled[:, -1], level=level,
-                        name="pm_bridge_top_t%g" % t)
-    top.metadata["fitted_scale"] = scale
-    reports.append(top)
+        cdf, drift = marginal_cdf(lambda pts: g_density(spec, 0.0, None, t, pts),
+                                  n, k, -span, span, order=40)
+        md = {"alpha": alpha, "marginal_drift": drift}
+        reports.append(ks_test(y[:, k], cdf, level=level, metadata=md,
+                               name="pm_bridge_coord%d_t%g" % (k, t)))
+    reports.append(ks_test(y[:, -1], cdf, level=level, metadata=md,
+                           name="pm_bridge_top_t%g" % t))
     return reports

@@ -257,6 +257,17 @@ def constants(n):
     )
 
 
+def _small_gap_survival(u, wall):
+    """Small-configuration survival prediction at u = x / sqrt(t).
+
+    h(u)/c_bar for free walkers, h_hat(u)/c_tilde behind the wall.
+    """
+    consts = constants(np.shape(u)[-1])
+    if wall:
+        return h_hat_poly(u) / consts.c_tilde
+    return h_poly(u) / consts.c_bar
+
+
 # ---------------------------------------------------------------------------
 # Mehta-type Gaussian integrals
 

@@ -6,10 +6,12 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
-from viciouskit.densities import ModelSpec, survival
-from viciouskit.montecarlo import (PathEnsemble, SimConfig, endpoint_values,
-                                   noncollision_mc, sample_origin_law,
+from viciouskit.densities import ModelSpec, g_density, survival, survival_batch
+from viciouskit.harness import ks_test, ks_two_sample, marginal_cdf
+from viciouskit.montecarlo import (PathEnsemble, SimConfig, _philox, _two_matrix_spectra,
+                                   endpoint_values, noncollision_mc, sample_origin_law,
                                    simulate_sde, simulate_walkers)
+from viciouskit.rmt import sample_ensemble
 
 
 def test_simconfig_validation():
@@ -170,10 +172,12 @@ def test_origin_law_wall_single_walker_is_bessel_law():
     assert d < 1.63 / math.sqrt(3000)
 
 
-def test_origin_law_finite_horizon_branches_agree():
-    # the short-time (envelope) and long-time (thinning) branches sample the
-    # same law; compare across the t = T/2 switch with a two-sample test
-    spec = ModelSpec(2, horizon=1.0)
+@pytest.mark.parametrize("wall", [False, True])
+def test_origin_law_finite_horizon_branches_agree(wall):
+    # the law is continuous in t across T/2, where the wall sampler switches
+    # from its short-time (envelope) to its long-time (thinning) branch;
+    # free draws are one two-matrix spectrum on both sides
+    spec = ModelSpec(2, horizon=1.0, wall=wall)
     rng1 = np.random.Generator(np.random.Philox(key=[4, 0]))
     rng2 = np.random.Generator(np.random.Philox(key=[5, 0]))
     a = sample_origin_law(spec, 0.499, 4000, rng1)
@@ -182,6 +186,70 @@ def test_origin_law_finite_horizon_branches_agree():
         d = sps.ks_2samp(a[:, k], b[:, k]).statistic
         # laws at t=0.499 and t=0.501 differ by O(dt); generous threshold
         assert d < 2.0 * 1.63 * math.sqrt(2 / 4000)
+
+
+def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80):
+    dens = lambda pts: g_density(spec, 0.0, None, t, pts)
+    reports = []
+    for k in range(spec.n_walkers):
+        cdf, drift = marginal_cdf(dens, spec.n_walkers, k, lo, hi, order=order)
+        assert drift < 1e-6
+        reports.append(ks_test(y[:, k], cdf, level=level))
+    return reports
+
+
+@pytest.mark.parametrize("n, t, order", [(2, 0.1, 80), (2, 0.5, 80), (2, 0.9, 80),
+                                         (3, 0.5, 30)])
+def test_free_origin_law_matches_g_density(n, t, order):
+    # two-matrix draws against the quadrature marginals of the origin-start
+    # finite-horizon density; Bonferroni over the 9 coordinates of the 4 cases
+    spec = ModelSpec(n, horizon=1.0)
+    y = sample_origin_law(spec, t, 100_000, _philox(20 + n, int(10 * t)))
+    span = 8 * math.sqrt(t) + 1
+    for rep in _origin_marginal_ks(spec, t, y, -span, span, 0.01 / 9, order):
+        assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.75])
+def test_wall_origin_law_matches_g_density(t):
+    # t = 0.25 takes the short-time (envelope) branch, t = 0.75 the thinning
+    # branch; Bonferroni over the 4 coordinates of the 2 cases
+    spec = ModelSpec(2, horizon=1.0, wall=True)
+    y = sample_origin_law(spec, t, 20_000, _philox(31, int(100 * t)))
+    for rep in _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, 0.01 / 4):
+        assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.75])
+def test_free_origin_law_n4_matches_thinned_goe(t):
+    # reference: GOE(t) spectra kept with probability survival(T - t, y),
+    # exact at any t because the g law is GOE(t) weighted by that survival;
+    # Bonferroni over the 8 coordinates of the 2 cases
+    n, T = 4, 1.0
+    prop = sample_ensemble("GOE", n, variance=t, samples=50_000, seed=40).eigenvalues
+    keep = _philox(41, 0).random(len(prop)) < survival_batch(T - t, prop)
+    ref = prop[keep]
+    y = sample_origin_law(ModelSpec(n, horizon=T), t, 5000, _philox(42, 0))
+    for k in range(n):
+        rep = ks_two_sample(y[:, k], ref[:, k], level=0.01 / 8)
+        assert rep.verdict == "pass", (k, rep.statistic, rep.critical_value)
+
+
+def test_free_origin_law_is_one_two_matrix_draw():
+    # no rejection: the draw is GUE(t(T-t)/T) + GOE(t^2/T) spectra, bit for bit
+    y = sample_origin_law(ModelSpec(5, horizon=1.0), 0.5, 2000, _philox(7, 0))
+    ref = _two_matrix_spectra(_philox(7, 0), 5, 0.5 * (1 - 0.5), 0.25, 2000)
+    assert np.array_equal(y, ref)
+
+
+def test_philox_keys_are_exact_for_every_seed():
+    # the seed enters the key mod 2^64 and as uint64: seeds near 2^64 once
+    # went through float64 and all collapsed to one key
+    draw = lambda seed: _philox(seed, 3).random(4)
+    ref = np.random.Generator(np.random.Philox(key=[12345, 3])).random(4)
+    assert np.array_equal(draw(12345), ref)
+    assert np.array_equal(draw(-1), draw(2 ** 64 - 1))
+    assert not np.array_equal(draw(2 ** 64 - 3), draw(2 ** 64 - 4))
 
 
 def test_sde_endpoint_matches_exact_law():
