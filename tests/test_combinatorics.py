@@ -2,9 +2,10 @@ import itertools
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from viciouskit.combinatorics import (LatticeConfig, WalkCount, count_paths,
+from viciouskit.combinatorics import (LatticeConfig, WalkCount, _walk_weights, count_paths,
                                       oracle_count_dp, scaled_survival,
                                       survival_probability, time_lattice,
                                       walk_probability)
@@ -154,3 +155,21 @@ def test_packed_survival_matches_gov_product(p):
 def test_packed_survival_eight_walkers_long_time():
     u = LatticeConfig(tuple(range(0, 16, 2)))
     assert survival_probability(400, u) == _gov_count(8, 400) / (1 << 3200)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 1023, 1024, 16384, 16385])
+def test_float_binomial_row_matches_exact(m):
+    row = _walk_weights(m, LatticeConfig((0,)), exact=False)[0]
+    assert row.shape == (m + 1,) and np.all(np.isfinite(row)) and np.all(row >= 0)
+    exact = 1
+    for k in range(m + 1):
+        if row[k] > 1e-300:
+            ref = Fraction(exact, 1 << m)
+            assert abs(Fraction(row[k]) - ref) <= Fraction(1, 10**14) * ref, k
+        exact = exact * (m - k) // (k + 1)
+
+
+def test_scaled_survival_float_matches_exact_pfaffian():
+    # survival_probability(16384, LatticeConfig((32, 64), wall=True)) in exact arithmetic
+    surv, _, _ = scaled_survival(32, 16.0, LatticeConfig((32, 64), wall=True))
+    assert surv == pytest.approx(0.0024929347693615493, rel=1e-12)

@@ -10,6 +10,7 @@ from viciouskit.harness import (Histogram, StatReport, ks_test, ks_two_sample,
                                 verify_suite, walker_gap_cdf)
 from viciouskit.quadrature import ordered_grid
 from viciouskit.rmt import eigen_density
+from viciouskit.special_functions import psi
 
 
 def test_ks_calibration():
@@ -48,6 +49,42 @@ def test_ks_two_sample_basics():
     assert rep.verdict == "fail"
     with pytest.raises(ValueError):
         ks_two_sample(np.zeros(3), np.ones(50))
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("sizes", [(10, 11), (37, 211), (500, 123), (1000, 999)])
+def test_ks_two_sample_statistic_matches_scipy(sizes, decimals):
+    # scipy.stats is the reference here; rounding to one decimal makes ties
+    # within and across the samples
+    rng = np.random.Generator(np.random.Philox(key=[6, sum(sizes)]))
+    a, b = rng.normal(size=sizes[0]), rng.normal(loc=0.1, size=sizes[1])
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    ref = sps.ks_2samp(a, b, method="asymp").statistic
+    assert ks_two_sample(a, b).statistic == ref
+    assert ks_two_sample(b, a).statistic == ref
+
+
+@pytest.mark.parametrize("level", [0.01, 0.01 / 4, 0.01 / 8])
+def test_ks_coefficient_is_kolmogorov_quantile(level):
+    assert harness._ks_coefficient(level) == sps.kstwobign.isf(level)
+
+
+def test_chi3_cdf_matches_scipy():
+    x = np.linspace(-8.0, 8.0, 1601)
+    np.testing.assert_array_equal(harness._chi3_cdf(x), sps.chi(3).cdf(x))
+
+
+@pytest.mark.parametrize("start_gap,t", [(2.0 / 16, 1.0), (2.0, 1.0), (0.5, 0.3)])
+def test_walker_gap_cdf_matches_normal_cdf_form(start_gap, t):
+    # the reflection difference of Gaussians written with scipy's normal CDF
+    gx, st = start_gap / math.sqrt(2), math.sqrt(t)
+    z = psi(gx / math.sqrt(2 * t))
+    g = np.linspace(-1.0, 10.0, 501)
+    a = sps.norm.cdf((g - gx) / st) - sps.norm.cdf(-gx / st)
+    b = sps.norm.cdf((g + gx) / st) - sps.norm.cdf(gx / st)
+    np.testing.assert_array_equal(walker_gap_cdf(start_gap, t)(g),
+                                  np.clip((a - b) / z, 0.0, 1.0))
 
 
 def test_statreport_verdict_invariant():

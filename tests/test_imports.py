@@ -1,7 +1,11 @@
-"""Every import in the package modules, at module level or inside a function, is used."""
+"""Every import in the package modules, at module level or inside a function, is used,
+and the package imports nothing from scipy but `scipy.special`."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +44,39 @@ def test_function_local_imports_are_checked():
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _scipy_imports(tree):
+    """The scipy modules a tree imports, at module level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            yield from ("scipy." + a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+            yield node.module
+
+
+def test_scipy_imports_are_found():
+    tree = ast.parse("from scipy import stats\n\ndef f():\n    import scipy.linalg\n"
+                     "    from scipy.special import erf\n")
+    assert sorted(_scipy_imports(tree)) == ["scipy.linalg", "scipy.special", "scipy.stats"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_scipy_special(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert set(_scipy_imports(tree)) <= {"scipy.special"}
+
+
+def test_import_loads_no_scipy_module_but_special():
+    # the modules a fresh interpreter holds after the import the CLI pays for
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(SRC.parent), env.get("PYTHONPATH")] if p)
+    code = ("import sys, viciouskit, viciouskit.cli, viciouskit.harness\n"
+            "print(*sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    public = {m.split(".")[1] for m in out
+              if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+    assert public <= {"special", "version"}
