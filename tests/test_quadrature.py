@@ -73,7 +73,7 @@ def test_de_bruijn_n3_memory_is_bounded():
     # one-shot evaluation of the 120^3-point integrand peaked at 290 MiB
     tracemalloc.start()
     try:
-        residual = de_bruijn_check(3, "gaussian", [0.3, 1.1, 2.2])
+        residual = de_bruijn_check(3, "gaussian", [0.3, 1.1, 2.2], order=120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
