@@ -346,16 +346,15 @@ def _suite_montecarlo(samples, seed):
                            abs(ens.accepted / ens.proposed - exact), 3 * se,
                            ens.proposed, exact=exact))
 
-    # Brownian non-collision vs Pfaffian (bias allowance ~ c sqrt(step))
-    step = 1e-3
+    # Brownian non-collision vs Pfaffian: bridge weights make the estimate
+    # unbiased at any step, so ten steps and 3 SE with no allowance
     for n, x, wall in ((2, (0.0, 1.0), False), (3, (0.0, 1.0, 2.0), False),
                        (2, (0.5, 1.5), True)):
         est, se = noncollision_mc(1.0, x, samples=min(samples * 4, 40_000),
-                                  step=step, wall=wall, seed=seed)
+                                  step=0.1, wall=wall, seed=seed)
         exact = survival(1.0, np.array(x, dtype=float), wall)
-        allowance = 0.5 * math.sqrt(step)
         out.append(_report("noncollision_n%d%s" % (n, "_wall" if wall else ""),
-                           abs(est - exact), 3 * se + allowance, metadata={"exact": exact}))
+                           abs(est - exact), 3 * se, metadata={"exact": exact}))
 
     # SDE endpoints vs exact origin laws
     rng = _philox(seed, 30)

@@ -131,26 +131,33 @@ def _walker_steps(rng, size):
     return 2 * rng.integers(0, 2, size=size, dtype=np.int8) - 1
 
 
-def _advance_block(rng, pos0, m, cols, batch, wall, draw):
-    """Survivors of `batch` proposals over m steps, at the steps in cols.
+def _advance_block(rng, pos0, m, cols, batch, wall, draw, weight=None):
+    """Survivors of `batch` proposals over m steps, at the steps in cols, and their weights.
 
     draw(rng, size) gives the steps: int8 +-1 for walkers (_walker_steps),
     Gaussian increments for Brownian tuples.  Proposals advance in rounds
     of k = max(t, 8) steps from the time t reached, at most ROUND_ENTRIES
     step entries per round.  Rows that break strict order (or go below 0
     behind the wall) at any step of a round are dropped at its end, so a
-    proposal draws about twice its lifetime in steps.  Callers keep
-    batch * len(pos0) <= ROUND_ENTRIES, so every round advances.  Returns
-    positions in the dtype of pos0, shape (survivors, len(cols), n).
+    proposal draws about twice its lifetime in steps.  weight(start, path)
+    gives each surviving row's weight over the round, from its positions
+    before the round (rows, n) and at the round's steps (rows, k, n); a row
+    of weight 0 is dropped too.  A hook builds one n x n matrix per
+    row-step, so with one the cap counts n^2 entries per step.  Callers
+    keep batch times those entries <= ROUND_ENTRIES, so every round
+    advances.  Returns positions in the dtype of pos0, shape (survivors,
+    len(cols), n), and the survivors' weight products (all 1 without a hook).
     """
     n = len(pos0)
+    width = n if weight is None else n * n     # entries per row-step
     rec = np.empty((batch, len(cols), n), dtype=pos0.dtype)
     rec[:, 0] = pos0
     rows = np.arange(batch)             # rec row of each live proposal
+    w = np.ones(batch)                  # weight product of each live proposal
     pos = np.broadcast_to(pos0, (batch, n))
     t, c = 0, 1                         # time reached, next column to record
     while t < m and len(rows):
-        k = min(max(t, 8), m - t, ROUND_ENTRIES // (len(rows) * n))
+        k = min(max(t, 8), m - t, ROUND_ENTRIES // (len(rows) * width))
         path = draw(rng, (len(rows), k, n)).astype(pos0.dtype, copy=False)
         np.cumsum(path, axis=1, out=path)
         path += pos[:, None, :]
@@ -158,13 +165,18 @@ def _advance_block(rng, pos0, m, cols, batch, wall, draw):
         if wall:
             ok &= np.all(path[:, :, 0] >= 0, axis=1)
         live = np.flatnonzero(ok)
+        w = w[live]
+        if weight is not None:
+            w *= weight(pos[live], path[live])
+            keep = w > 0
+            live, w = live[keep], w[keep]
         rows = rows[live]
         c_end = np.searchsorted(cols, t + k, side="right")
         rec[rows, c:c_end] = path[live[:, None], cols[c:c_end] - t - 1]
         pos = path[live, -1]
         del path                        # freed before the next round's draw
         t, c = t + k, c_end
-    return rec[rows]
+    return rec[rows], w
 
 
 def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
@@ -203,7 +215,7 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
         batch = min(max(4 * quota, 1024), block_cap)
         stop = got + quota
         while got < stop:
-            good = _advance_block(rng, pos0, m, cols, batch, u.wall, _walker_steps)
+            good, _ = _advance_block(rng, pos0, m, cols, batch, u.wall, _walker_steps)
             proposed += batch
             accepted += len(good)
             take = min(len(good), stop - got)
@@ -417,16 +429,49 @@ def simulate_sde(cfg):
 # Brownian non-collision oracle
 
 
+def _bridge_factors(start, path, dt, wall):
+    """Non-collision probabilities of Brownian bridges over each step of a round.
+
+    start (rows, N) and path (rows, k, N) are strictly ordered chamber
+    points.  Bridges from x to y over dt do not meet with probability
+    det[k(x_i, y_j)] / prod_i p(x_i, y_i) (Karlin-McGregor), where p is the
+    free heat kernel and k = p, or p(x, y) - p(x, -y) behind the wall.
+    After the Gaussian factors cancel the ratio matrix is
+    exp{(x_i (y_j - y_i) + S_i - S_j) / dt}, times 1 - exp(-2 x_i y_j / dt)
+    behind the wall, with S_j = sum_{l<j} (x_l + x_{l+1}) / 2 (y_{l+1} - y_l).
+    The S terms are a diagonal similarity, so the determinant is unchanged,
+    and the exponent, a sum of (x_i - (x_l + x_{l+1}) / 2) (y_{l+1} - y_l)
+    over l between i and j, is never positive: no entry overflows.
+    Returns the (rows, k) factors, clipped to [0, 1] against rounding.
+    """
+    n = start.shape[-1]
+    x = np.concatenate([start[:, None], path[:, :-1]], axis=1)
+    mid = (x[..., :-1] + x[..., 1:]) / 2
+    terms = x[..., :, None] - mid[..., None, :]
+    terms *= np.diff(path)[..., None, :]
+    expo = np.zeros(x.shape + (n,))
+    np.cumsum(terms, axis=-1, out=expo[..., 1:])
+    del terms
+    expo -= np.diagonal(expo, axis1=-2, axis2=-1)[..., :, None].copy()
+    expo /= dt
+    ratio = np.exp(expo, out=expo)
+    if wall:
+        ratio *= -np.expm1(x[..., :, None] * path[..., None, :] * (-2 / dt))
+    return np.clip(np.linalg.det(ratio), 0.0, 1.0)
+
+
 def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     """Monte Carlo estimate of the strict-order (non-collision) probability.
 
-    Discretized Brownian tuples; returns (estimate, standard_error).  The
-    discretization bias is first order in sqrt(step) (order checks should
-    budget an allowance of that size on top of 3 standard errors).  Tuples
-    run on the walker engine (_advance_block) with Gaussian steps, in
-    blocks of at most ROUND_ENTRIES // N tuples: order is checked at every
-    step, a tuple is dropped in the round of its first violation, and
-    memory stays bounded whatever samples and t are.
+    Brownian tuples on a grid of step at most `step`; returns (estimate,
+    standard_error).  Each tuple is weighted by the product over its steps
+    of the probability that Brownian bridges between its grid values do
+    not meet (_bridge_factors), and a grid value outside the chamber
+    weighs 0, so the mean weight is unbiased at any step.  Tuples run on
+    the walker engine (_advance_block) with Gaussian steps and the bridge
+    weight hook, in blocks of at most ROUND_ENTRIES // N^2 tuples: a tuple
+    is dropped in the round its weight reaches 0, and memory stays bounded
+    whatever samples and t are.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -434,17 +479,22 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
         raise ValueError("need a nonempty start, samples >= 1, step > 0 and finite t >= 0")
     if np.any(np.diff(x) <= 0) or (wall and x[0] <= 0):
         raise ValueError("start must be an interior chamber point")
+    if t == 0:
+        return 1.0, 1.0 / samples           # an interior start has not collided yet
     n_steps = max(int(math.ceil(t / step)), 1)
-    sd = math.sqrt(t / n_steps)
-    gauss = lambda rng, size: rng.normal(scale=sd, size=size)
+    dt = t / n_steps
+    gauss = lambda rng, size: rng.normal(scale=math.sqrt(dt), size=size)
+    bridge = lambda start, path: np.prod(_bridge_factors(start, path, dt, wall), axis=1)
     rng = _philox(seed, 0)
-    block = ROUND_ENTRIES // n
-    alive = 0
+    block = ROUND_ENTRIES // (n * n)
+    total = total_sq = 0.0
     for done in range(0, samples, block):
         b = min(block, samples - done)
-        alive += len(_advance_block(rng, x, n_steps, np.array([0]), b, wall, gauss))
-    p = alive / samples
-    se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
+        _, w = _advance_block(rng, x, n_steps, np.array([0]), b, wall, gauss, bridge)
+        total += w.sum()
+        total_sq += w @ w
+    p = total / samples
+    se = math.sqrt(max(total_sq / samples - p * p, 1.0 / samples) / samples)
     return p, se
 
 

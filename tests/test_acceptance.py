@@ -75,22 +75,18 @@ def test_criterion_02_pfaffian_survival():
         worst = max(worst, abs(survival(t, x) / ref - 1.0))
     ok = worst < 1e-13
 
-    # N=3 (and wall N=2,3): Brownian Monte Carlo with 1e5 paths; the Euler
-    # boundary check misses excursions inside a step, a positive bias of
-    # order sqrt(step)
+    # N=3 (and wall N=2,3): Brownian Monte Carlo with 1e5 paths; bridge
+    # weights make it unbiased at any step, so ten steps and 3 SE
     t0 = time.time()
-    step = 1e-3
-    allowance = 0.5 * math.sqrt(step)
     details = ["closed-form rel %.1e" % worst]
     for x, wall in (((0.0, 1.0, 2.0), False), ((0.5, 1.5), True),
                     ((0.5, 1.5, 2.5), True)):
-        est, se = noncollision_mc(1.0, x, samples=100_000, step=step, wall=wall,
+        est, se = noncollision_mc(1.0, x, samples=100_000, step=0.1, wall=wall,
                                   seed=11)
         exact = survival(1.0, np.array(x), wall)
-        ok = ok and abs(est - exact) < 3 * se + allowance
+        ok = ok and abs(est - exact) < 3 * se
         details.append("n%d%s |mc-exact|=%.4f tol=%.4f"
-                       % (len(x), "w" if wall else "", abs(est - exact),
-                          3 * se + allowance))
+                       % (len(x), "w" if wall else "", abs(est - exact), 3 * se))
     elapsed = time.time() - t0
     ok = ok and elapsed < 300
     _verdict(2, "Pfaffian survival: closed form + MC non-collision",

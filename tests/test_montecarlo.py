@@ -1,5 +1,7 @@
+import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from scipy import stats as sps
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
 from viciouskit.densities import ModelSpec, g_density, survival, survival_batch
 from viciouskit.harness import ks_test, ks_two_sample, marginal_cdf
-from viciouskit.montecarlo import (PathEnsemble, SimConfig, _philox, _two_matrix_spectra,
-                                   endpoint_values, noncollision_mc, sample_origin_law,
-                                   simulate_sde, simulate_walkers)
+from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
+                                   _two_matrix_spectra, endpoint_values, noncollision_mc,
+                                   sample_origin_law, simulate_sde, simulate_walkers)
 from viciouskit.rmt import sample_ensemble
 
 
@@ -304,9 +306,9 @@ def test_sde_determinism():
 def test_noncollision_trivial_and_exact():
     p, se = noncollision_mc(1.0, (0.0,), samples=500, step=0.05, seed=0)
     assert p == 1.0
-    p2, se2 = noncollision_mc(1.0, (0.0, 1.0), samples=20000, step=1e-3, seed=1)
+    p2, se2 = noncollision_mc(1.0, (0.0, 1.0), samples=20000, step=0.1, seed=1)
     exact = survival(1.0, np.array([0.0, 1.0]))
-    assert abs(p2 - exact) < 3 * se2 + 0.5 * math.sqrt(1e-3)
+    assert abs(p2 - exact) < 3 * se2
 
 
 def test_noncollision_requires_interior_wall_start():
@@ -327,28 +329,80 @@ def test_noncollision_rejects_bad_inputs():
     assert noncollision_mc(0.0, (0.0, 1.0), samples=50)[0] == 1.0
 
 
-def _noncollision_step_by_step(t, x, samples, step, wall, seed):
-    """Reference estimator: every tuple advanced and checked one step at a time."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
-    n_steps = max(int(math.ceil(t / step)), 1)
-    pos = np.tile(np.asarray(x, dtype=float), (samples, 1))
-    alive = np.ones(samples, dtype=bool)
-    for _ in range(n_steps):
-        pos += rng.normal(scale=math.sqrt(t / n_steps), size=pos.shape)
-        alive &= np.all(pos[:, 1:] > pos[:, :-1], axis=1)
-        if wall:
-            alive &= pos[:, 0] > 0
-    p = alive.mean()
-    return p, math.sqrt(p * (1 - p) / samples)
+@pytest.mark.parametrize("steps", [10, 100])
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_noncollision_matches_survival(n, wall, steps):
+    # bridge weights make the estimate unbiased at any step: 3 SE, no allowance
+    x = np.arange(n) + (0.5 if wall else 0.0)
+    p, se = noncollision_mc(1.0, x, samples=20_000, step=1.0 / steps, wall=wall, seed=7)
+    assert abs(p - survival(1.0, x, wall)) < 3 * se
 
 
-@pytest.mark.parametrize("x, wall", [((0.0, 1.0), False), ((0.5, 1.5), True)])
-def test_noncollision_rounds_keep_the_stepwise_law(x, wall):
-    # at 20 steps a check at round ends only (steps 8, 16, 20) would
-    # overestimate survival by far more than the tolerance
-    p, se = noncollision_mc(1.0, x, samples=20_000, step=0.05, wall=wall, seed=3)
-    ref, ref_se = _noncollision_step_by_step(1.0, x, 20_000, 0.05, wall, seed=3)
-    assert abs(p - ref) < 4 * math.hypot(se, ref_se)
+def test_bridge_factor_free_pair_closed_form():
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    dt = 0.1
+    x = np.cumsum(np.column_stack([np.zeros(2000), rng.uniform(0.2, 1.5, 2000)]), axis=1)
+    y = x + rng.normal(scale=math.sqrt(dt), size=x.shape)
+    keep = y[:, 1] > y[:, 0]
+    x, y = x[keep], y[keep]
+    f = _bridge_factors(x, y[:, None, :], dt, False)[:, 0]
+    ref = -np.expm1(-(x[:, 1] - x[:, 0]) * (y[:, 1] - y[:, 0]) / dt)
+    np.testing.assert_allclose(f, ref, rtol=1e-12, atol=0)
+
+
+def test_bridge_factor_wall_single_walker_closed_form():
+    # the reflected kernel enters off the diagonal only; a reflected
+    # denominator would give 1 here whatever x and y are
+    rng = np.random.Generator(np.random.Philox(key=[6, 0]))
+    dt = 0.1
+    x = rng.uniform(0.01, 2.0, size=(1000, 1))
+    y = rng.uniform(0.01, 2.0, size=(1000, 1, 1))
+    f = _bridge_factors(x, y, dt, True)[:, 0]
+    np.testing.assert_allclose(f, -np.expm1(-2 * x[:, 0] * y[:, 0, 0] / dt), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_bridge_factors_are_probabilities(wall):
+    rng = np.random.Generator(np.random.Philox(key=[7, int(wall)]))
+    for n in range(1, 6):
+        for spread in (1e-3, 1.0, 30.0):
+            x = np.sort(rng.uniform(0.0, spread, size=(500, n)), axis=1)
+            y = np.sort(rng.uniform(0.0, 3 * spread, size=(500, 4, n)), axis=2)
+            f = _bridge_factors(x, y, 0.05, wall)
+            assert f.shape == (500, 4)
+            assert np.all((f >= 0) & (f <= 1))
+
+
+def test_noncollision_far_jumps_raise_no_warning():
+    # one step over the whole horizon, jumps ~1e3 against gaps of 1e-3:
+    # naive kernel ratios would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wall in (False, True):
+            p, _ = noncollision_mc(1e6, (1e-3, 2e-3, 3e-3), samples=2000, step=1e6,
+                                   wall=wall, seed=1)
+            assert 0 <= p < 1e-6
+        f = _bridge_factors(np.array([[0.0, 1.0, 2.0]]),
+                            np.array([[[-1000.0, -999.0, -998.0]]]), 1.0, False)
+    assert 0 < f[0, 0] < 1
+
+
+def test_noncollision_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        p, _ = noncollision_mc(1.0, (0.0, 1.0, 2.0, 3.0), samples=200_000, step=0.1, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < p < 1
+    assert peak < 64 * 2 ** 20
+
+
+def test_noncollision_parameter_names():
+    # perfbench/tracing.py binds samples, t and step by name to count path steps
+    names = list(inspect.signature(noncollision_mc).parameters)
+    assert names == ["t", "x", "samples", "step", "wall", "seed"]
 
 
 def test_endpoint_values():
