@@ -13,15 +13,15 @@ from .combinatorics import (LatticeConfig, WalkCount, count_paths, oracle_count_
 from .densities import (ModelSpec, de_bruijn_check, drift, drift_batch, g_density,
                         imhof_check, km_density, p_density, survival,
                         survival_asymptotics, survival_batch)
-from .harness import (Histogram, StatReport, ks_test, ks_two_sample, make_histogram,
-                      marginal_cdf, marginalize, verify_suite)
-from .linalg import pfaffian, skew_from_upper, symmetric_eigenvalues
+from .harness import (StatReport, ks_test, ks_two_sample, marginal_cdf, marginalize,
+                      verify_suite)
+from .linalg import pfaffian, symmetric_eigenvalues
 from .montecarlo import (PathEnsemble, SimConfig, endpoint_values, noncollision_mc,
                          sample_origin_law, simulate_sde, simulate_walkers)
 from .quadrature import chamber_integral, ordered_grid
 from .rmt import SpectrumSample, eigen_density, pm_bridge_check, sample_ensemble
 from .special_functions import (ModelConstants, constants, h_hat_poly, h_poly,
                                 mehta_integral, mehta_integral_quadrature, psi,
-                                psi_hat, schur, sp_character)
+                                psi_hat)
 
 __version__ = "0.1.0"

@@ -19,6 +19,13 @@ def _positions(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _steps(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("lattice steps must be a nonnegative integer, "
+                                         "got %r" % text)
+    return int(text)
+
+
 def _floats(text):
     return tuple(float(v) for v in text.split(","))
 
@@ -46,7 +53,7 @@ def _cmd_count(args):
     from .combinatorics import LatticeConfig, count_paths, walk_probability
 
     u = LatticeConfig(args.start, wall=args.wall)
-    m = int(args.time)
+    m = args.time
     c = count_paths(m, u, args.end)
     prob = walk_probability(m, u, args.end)
     _emit(args, {
@@ -63,7 +70,7 @@ def _cmd_survive(args):
     from .combinatorics import LatticeConfig, survival_probability
 
     u = LatticeConfig(args.start, wall=args.wall)
-    m = int(args.time)
+    m = args.time
     prob = survival_probability(m, u)
     _emit(args, {
         "steps": m,
@@ -190,8 +197,7 @@ _FLAGS = {
     "wall": dict(action="store_true", help="reflecting-wall variant"),
     "horizon": dict(type=float, default=math.inf,
                     help="nonintersection horizon T (inf for the h-transform family)"),
-    "time": dict(type=float, default=1.0,
-                 help="evaluation/end time (lattice steps for count/survive)"),
+    "time": dict(type=float, default=1.0, help="evaluation/end time"),
     "scale": dict(type=int, default=8, help="lattice scale L"),
     "samples": dict(type=int, default=1000),
     "step": dict(type=float, default=1e-3, help="SDE time step"),
@@ -214,12 +220,14 @@ def build_parser():
             sp.add_argument("--" + flag, **_FLAGS[flag])
         return sp
 
-    sp = command("count", "exact nonintersecting path count", "wall", "time")
+    sp = command("count", "exact nonintersecting path count", "wall")
+    sp.add_argument("--time", type=_steps, default=1, help="lattice steps")
     sp.add_argument("--start", type=_positions, required=True, help="even positions, e.g. 0,2")
     sp.add_argument("--end", type=_positions, required=True)
     sp.set_defaults(fn=_cmd_count)
 
-    sp = command("survive", "exact lattice survival probability", "wall", "time")
+    sp = command("survive", "exact lattice survival probability", "wall")
+    sp.add_argument("--time", type=_steps, default=1, help="lattice steps")
     sp.add_argument("--start", type=_positions, required=True)
     sp.set_defaults(fn=_cmd_survive)
 

@@ -96,20 +96,14 @@ def _binom_entry(m, u_j, v_i, wall):
     return e
 
 
-def _endpoint_positions(v, u):
-    """Accept a LatticeConfig or a raw integer sequence as the endpoint."""
-    if isinstance(v, LatticeConfig):
-        if v.wall != u.wall:
-            raise ValueError("start and end configurations differ in wall flag")
-        return v.positions
-    return tuple(int(p) for p in v)
-
-
-def _check_pair(m, u, v_pos):
+def _end_positions(m, u, v):
+    """The endpoint v as a tuple of ints, checked against m and the start u."""
     if m < 0:
         raise ValueError("step count must be nonnegative")
+    v_pos = tuple(int(p) for p in v)
     if len(u) != len(v_pos):
         raise ValueError("start and end configurations differ in length")
+    return v_pos
 
 
 def count_paths(m, u, v):
@@ -120,8 +114,7 @@ def count_paths(m, u, v):
     wall model.  Infeasible endpoints (bad parity, out of order, out of
     reach, behind the wall) count zero.
     """
-    v_pos = _endpoint_positions(v, u)
-    _check_pair(m, u, v_pos)
+    v_pos = _end_positions(m, u, v)
     n = len(u)
     if any(b <= a for a, b in zip(v_pos, v_pos[1:])) or (u.wall and v_pos[0] < 0):
         return WalkCount(value=0, steps=m, n_walkers=n)
@@ -219,24 +212,24 @@ def survival_probability(m, u, exact=True):
     return Fraction(pf, 1 << (m * n))
 
 
-def oracle_count_dp(m, u, v=None, max_walkers=4, max_steps=12, return_steps=False):
+def oracle_count_dp(m, u, v=None, return_steps=False):
     """Brute-force DP over joint ordered configurations.
 
     Independent of the determinant route; enforces strict order (and the
     wall constraint at steps 1..m) at every step.  Returns a WalkCount for a
     fixed endpoint v, a dict endpoint -> count when v is None, or (with
     return_steps) the list of those dicts after steps 1..m.  Counts are
-    held in int64, safe up to 2^{mN} < 2^63.
+    held in int64, safe up to 2^{mN} < 2^63.  At most 4 walkers and 12
+    steps.
     """
     n = len(u)
-    if n > max_walkers or m > max_steps:
+    if n > 4 or m > 12:
         raise ValueError("instance too large for the DP oracle")
     if m * n >= 62:
         raise ValueError("counts could overflow the DP accumulator")
     v_pos = None
     if v is not None:
-        v_pos = _endpoint_positions(v, u)
-        _check_pair(m, u, v_pos)
+        v_pos = _end_positions(m, u, v)
 
     moves = np.array([[1 if k >> i & 1 else -1 for i in range(n)]
                       for k in range(1 << n)], dtype=np.int64)

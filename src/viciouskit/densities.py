@@ -307,12 +307,13 @@ def survival_asymptotics(t, x, wall=False):
     return exact, pred, exact / pred
 
 
-def de_bruijn_check(n, kernel, x, order=80, span=7.0):
+def de_bruijn_check(n, kernel, x, order=80):
     """Residual of the chamber-integral-of-determinant = Pfaffian reduction.
 
     kernel "gaussian": z(a, b) = exp(-(a-b)^2)/sqrt(pi) on the full line;
     kernel "wall-gaussian": the reflected difference restricted to the
-    nonnegative half-line.  n <= 3.  At the default order the residual at
+    nonnegative half-line.  n <= 3.  The integral runs to 7 past the
+    outermost point.  At the default order the residual at
     x = (0.3, 1.1, 2.2)[:n] is 3e-16 (n = 3, "gaussian") and at most 2e-15
     (n = 2, both kernels).
     """
@@ -326,11 +327,11 @@ def de_bruijn_check(n, kernel, x, order=80, span=7.0):
     if wall:
         def z(a, b):
             return (np.exp(-((a - b) ** 2)) - np.exp(-((a + b) ** 2))) / math.sqrt(math.pi)
-        lo, hi = 0.0, float(x.max() + span)
+        lo, hi = 0.0, float(x.max() + 7.0)
     else:
         def z(a, b):
             return np.exp(-((a - b) ** 2)) / math.sqrt(math.pi)
-        lo, hi = float(x.min() - span), float(x.max() + span)
+        lo, hi = float(x.min() - 7.0), float(x.max() + 7.0)
 
     def integrand(y):
         mats = z(x.reshape((1,) * (y.ndim - 1) + (n, 1)), y[..., None, :])

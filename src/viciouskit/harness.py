@@ -1,10 +1,10 @@
 """Statistics and verification harness.
 
 Kolmogorov-Smirnov machinery (with optional evaluation grids for lattice
-observables), histogramming, quadrature marginalization of chamber
-densities, and the named verification suites aggregating every identity
-in the package.  The KS statistics are computed here with numpy and the
-asymptotic critical values come from the Kolmogorov limit law
+observables), quadrature marginalization of chamber densities, and the
+named verification suites aggregating every identity in the package.
+The KS statistics are computed here with numpy and the asymptotic
+critical values come from the Kolmogorov limit law
 (`scipy.special.kolmogi`), so the package imports no `scipy.stats`.
 """
 
@@ -14,32 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .quadrature import SLAB_POINTS, ordered_grid
+from .quadrature import SLAB_POINTS, chamber_integral, ordered_grid
 
 __all__ = [
-    "Histogram",
     "StatReport",
     "ks_test",
     "ks_two_sample",
-    "make_histogram",
     "marginalize",
     "marginal_cdf",
     "verify_suite",
     "SUITES",
 ]
-
-
-@dataclass
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must be strictly ascending")
-        if int(self.counts.sum()) != self.total:
-            raise ValueError("counts must sum to total")
 
 
 @dataclass
@@ -124,14 +109,6 @@ def ks_two_sample(a, b, level=0.01, name="ks2", metadata=None):
     return StatReport(name, d, crit, len(a) + len(b), metadata=md)
 
 
-def make_histogram(values, bins=50, range_=None):
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    counts, edges = np.histogram(values, bins=bins, range=range_)
-    return Histogram(edges=edges, counts=counts, total=int(counts.sum()))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature marginalization (N <= 3)
 
@@ -171,13 +148,14 @@ def marginalize(density, n, coordinate, grid, lo, hi, order=80):
     return vals, drift
 
 
-def marginal_cdf(density, n, coordinate, lo, hi, grid_size=400, order=80):
+def marginal_cdf(density, n, coordinate, lo, hi, order=80):
     """Callable CDF of one coordinate, built from the quadrature marginal.
 
-    The table is renormalized; the raw normalization drift is returned as
+    The marginal is tabulated on 400 evenly spaced points of [lo, hi] and
+    the table is renormalized; the raw normalization drift is returned as
     the second element.
     """
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, 400)
     vals, drift = marginalize(density, n, coordinate, grid, lo, hi, order=order)
     cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2 * np.diff(grid))])
     cum /= cum[-1]
@@ -213,14 +191,12 @@ def _suite_identities(samples, seed):
 
     # normalization of the four origin densities, N = 2
     for wall in (False, True):
-        lo = 0.0 if wall else -8.0
-        pts, wts = ordered_grid(2, lo, 8.0, order=120)
-        flat = pts.reshape(-1, 2)
         for fam, f in (("g", g_density), ("p", p_density)):
             spec = ModelSpec(2, horizon=2.0 if fam == "g" else math.inf, wall=wall)
-            dens = f(spec, 0.0, None, 1.0, flat).reshape(wts.shape)
+            mass = chamber_integral(lambda y: f(spec, 0.0, None, 1.0, y), 2,
+                                    0.0 if wall else -8.0, 8.0, order=120)
             out.append(_report("normalization_%s%s_n2" % (fam, "_wall" if wall else ""),
-                               abs(float((dens * wts).sum()) - 1.0), 1e-6))
+                               abs(mass - 1.0), 1e-6))
 
     # Imhof product identity on randomized instances
     worst = {(n, wall): 0.0 for n in (1, 2, 3) for wall in (False, True)}
@@ -431,10 +407,8 @@ def _suite_rmt(samples, seed):
                                    metadata={"marginal_drift": drift}))
 
     # eigen_density normalization over the chamber (N = 2)
-    pts, wts = ordered_grid(2, -7.0, 7.0, order=120)
-    dens = eigen_density("GUE", pts.reshape(-1, 2)).reshape(wts.shape) * 2
-    out.append(_report("gue_density_normalization_n2",
-                       abs(float((dens * wts).sum()) - 1.0), 1e-6))
+    mass = chamber_integral(lambda y: eigen_density("GUE", y) * 2, 2, -7.0, 7.0, order=120)
+    out.append(_report("gue_density_normalization_n2", abs(mass - 1.0), 1e-6))
 
     # PM(alpha=1) degenerates to GUE; its total variance 2v^2 = 1/(1+alpha^2)
     # halves at alpha = 1, so the matching GUE runs at variance/2

@@ -8,18 +8,9 @@ elimination gives A^-1 = M^T B^-1 M for the survival drift in `densities`.
 
 import numpy as np
 
-__all__ = ["skew_from_upper", "pfaffian", "symmetric_eigenvalues"]
+__all__ = ["pfaffian", "symmetric_eigenvalues"]
 
-
-def skew_from_upper(upper):
-    """Skew-symmetric matrix A with A[i, j] = upper[i, j] for i < j.
-
-    The diagonal and lower triangle of the input are ignored, so the result
-    is exactly skew by construction.
-    """
-    upper = np.asarray(upper, dtype=float)
-    a = np.triu(upper, k=1)
-    return a - a.T
+_ATOL = 1e-12    # skew and Hermitian input checks, scaled by max(largest |entry|, 1)
 
 
 def _skew_eliminate(a):
@@ -71,7 +62,7 @@ def _skew_eliminate(a):
     return sign, pivots, m
 
 
-def pfaffian(a, atol=1e-12):
+def pfaffian(a):
     """Pfaffian of even-dimensional skew-symmetric matrices, batched over leading axes.
 
     Validates the input, then takes sign * prod(pivots) from one
@@ -86,7 +77,7 @@ def pfaffian(a, atol=1e-12):
     if a.shape[-1] % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
     scale = np.abs(a).max() if a.size else 0.0
-    if not np.allclose(a, -np.swapaxes(a, -1, -2), atol=atol * max(scale, 1.0)):
+    if not np.allclose(a, -np.swapaxes(a, -1, -2), atol=_ATOL * max(scale, 1.0)):
         raise ValueError("matrix is not skew-symmetric")
     batch = a.shape[:-2]
     sign, pivots, _ = _skew_eliminate(a)
@@ -95,10 +86,10 @@ def pfaffian(a, atol=1e-12):
     return float(pf[0]) if not batch else pf.reshape(batch)
 
 
-def symmetric_eigenvalues(m, atol=1e-12):
+def symmetric_eigenvalues(m):
     """Ascending eigenvalues of a real symmetric or complex Hermitian matrix."""
     m = np.asarray(m)
     scale = np.abs(m).max() if m.size else 0.0
-    if not np.allclose(m, np.conj(np.swapaxes(m, -1, -2)), atol=atol * max(scale, 1.0)):
+    if not np.allclose(m, np.conj(np.swapaxes(m, -1, -2)), atol=_ATOL * max(scale, 1.0)):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh(m)

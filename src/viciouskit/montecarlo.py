@@ -179,7 +179,7 @@ def _advance_block(rng, pos0, m, cols, batch, wall, draw, weight=None):
     return rec[rows], w
 
 
-def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
+def simulate_walkers(cfg):
     """Rejection sampling of nonintersecting +-1 walk tuples.
 
     N independent simple walks over m = 2*floor(scale^2*horizon/2) steps;
@@ -221,10 +221,10 @@ def simulate_walkers(cfg, acceptance_floor=ACCEPTANCE_FLOOR):
             take = min(len(good), stop - got)
             paths[got:got + take] = good[:take].transpose(0, 2, 1) / L
             got += take
-            if proposed >= 1_000_000 and accepted / proposed < acceptance_floor:
+            if proposed >= 1_000_000 and accepted / proposed < ACCEPTANCE_FLOOR:
                 raise RuntimeError(
                     "walker acceptance below %g after %d proposals; "
-                    "reduce the scale or walker count" % (acceptance_floor, proposed)
+                    "reduce the scale or walker count" % (ACCEPTANCE_FLOOR, proposed)
                 )
     grid = cols / float(L * L)
     return PathEnsemble(time_grid=grid, paths=paths, accepted=accepted,
@@ -286,12 +286,13 @@ def _wishart_sqrt_spectra(rng, n, variance, draws):
     return math.sqrt(variance) * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _rejection_fill(propose, accept_prob, rng, samples, n, max_rounds=500):
+def _rejection_fill(propose, accept_prob, rng, samples, n):
     out = np.empty((samples, n))
     got = 0
+    rounds_left = 500
     while got < samples:
-        max_rounds -= 1
-        if max_rounds < 0:
+        rounds_left -= 1
+        if rounds_left < 0:
             raise RuntimeError("origin-law rejection sampler stalled")
         draw = max(2 * (samples - got), 1024)
         y = propose(draw)
@@ -498,13 +499,8 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     return p, se
 
 
-def endpoint_values(ens, coordinate=None, functional=None):
-    """Endpoint observable of an ensemble: one coordinate or a functional of the row."""
+def endpoint_values(ens, coordinate):
+    """Endpoint values of one coordinate across an ensemble."""
     if ens.paths.shape[0] == 0:
         raise ValueError("empty ensemble")
-    end = ens.paths[:, :, -1]
-    if functional is not None:
-        return np.asarray([functional(row) for row in end])
-    if coordinate is None:
-        raise ValueError("give a coordinate index or a functional")
-    return end[:, coordinate]
+    return ens.paths[:, coordinate, -1]

@@ -1,9 +1,8 @@
-"""Scalar and symmetric-function kernels for the walker model.
+"""Scalar kernels, chamber polynomials and constants for the walker model.
 
 Holds the Gaussian mass function psi, the two-rectangle wall kernel
-psi_hat, the Vandermonde-type chamber polynomials, Schur and symplectic
-characters, the model constants, and the two Mehta-type Gaussian
-integrals.
+psi_hat, the Vandermonde-type chamber polynomials, the model constants,
+and the two Mehta-type Gaussian integrals.
 """
 
 import math
@@ -17,10 +16,6 @@ __all__ = [
     "psi_hat",
     "h_poly",
     "h_hat_poly",
-    "schur",
-    "sp_character",
-    "schur_principal",
-    "sp_principal",
     "ModelConstants",
     "constants",
     "mehta_integral",
@@ -134,93 +129,6 @@ def h_hat_poly(x):
 
 
 # ---------------------------------------------------------------------------
-# Schur / symplectic characters (Jacobi-Trudi determinants)
-
-
-def _complete_homogeneous(z, kmax):
-    """h_0, ..., h_kmax of the variables z.
-
-    Adds one variable at a time,
-    h_k(z_1..z_r) = h_k(z_1..z_{r-1}) + z_r h_{k-1}(z_1..z_r),
-    so for positive z every step sums positive terms (no division).
-    """
-    h = np.zeros(kmax + 1)
-    h[0] = 1.0
-    for v in z:
-        for k in range(1, kmax + 1):
-            h[k] += v * h[k - 1]
-    return h
-
-
-def _h_matrix(h, k):
-    """Entries h_k of an integer index array k, with h_k = 0 for k < 0."""
-    return np.where(k >= 0, h[np.clip(k, 0, None)], 0.0)
-
-
-def _check_partition(lam, n):
-    lam = list(lam)
-    if len(lam) != n:
-        raise ValueError("partition length must match number of variables")
-    if any(a < b for a, b in zip(lam, lam[1:])) or lam[-1] < 0:
-        raise ValueError("partition parts must be nonincreasing and nonnegative")
-    return lam
-
-
-def schur_principal(lam):
-    """Schur polynomial at z = (1, ..., 1): prod_{i<j} (l_i - l_j + j - i)/(j - i)."""
-    n = len(lam)
-    lam = _check_partition(lam, n)
-    out = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (lam[i] - lam[j] + j - i) / (j - i)
-    return out
-
-
-def schur(lam, z):
-    """Schur polynomial by Jacobi-Trudi: det(h_{l_i - i + j}(z))."""
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    lam = _check_partition(lam, n)
-    if np.any(z <= 0):
-        raise ValueError("schur requires positive variables")
-    h = _complete_homogeneous(z, lam[0] + n - 1)
-    i, j = np.indices((n, n))
-    return float(np.linalg.det(_h_matrix(h, np.asarray(lam)[:, None] - i + j)))
-
-
-def sp_principal(lam):
-    """Symplectic character at z = (1, ..., 1)."""
-    n = len(lam)
-    lam = _check_partition(lam, n)
-    ell = [lam[j - 1] + n - j + 1 for j in range(1, n + 1)]
-    m = [n - j + 1 for j in range(1, n + 1)]
-    out = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (ell[j] ** 2 - ell[i] ** 2) / (m[j] ** 2 - m[i] ** 2)
-    for j in range(n):
-        out *= ell[j] / m[j]
-    return out
-
-
-def sp_character(lam, z):
-    """Symplectic character by Koike-Terada: (1/2) det(h_{l_i-i+j} + h_{l_i-i-j+2}).
-
-    Indices are 1-based and h_k is taken over the 2N variables (z, 1/z).
-    """
-    z = np.asarray(z, dtype=float)
-    n = len(z)
-    lam = _check_partition(lam, n)
-    if np.any(z <= 0):
-        raise ValueError("sp_character requires positive variables")
-    h = _complete_homogeneous(np.concatenate([z, 1.0 / z]), lam[0] + n - 1)
-    i, j = np.indices((n, n))
-    row = np.asarray(lam)[:, None] - i
-    return 0.5 * float(np.linalg.det(_h_matrix(h, row + j) + _h_matrix(h, row - j)))
-
-
-# ---------------------------------------------------------------------------
 # Model constants
 
 
@@ -300,11 +208,12 @@ def mehta_integral(n, gamma, a, weight="plain"):
     raise ValueError("unknown weight %r" % (weight,))
 
 
-def mehta_integral_quadrature(n, gamma, a, weight="plain", order=80, span=9.0):
+def mehta_integral_quadrature(n, gamma, a, weight="plain"):
     """Numeric left-hand side of mehta_integral, n <= 3.
 
     Integrates over the ordered sector (times n!) where the integrand is
-    smooth, with tensor Gauss-Legendre.
+    smooth, with tensor Gauss-Legendre of order 80, cut at 9 standard
+    deviations.
     """
     if n > 3:
         raise ValueError("quadrature only supported for n <= 3")
@@ -320,7 +229,7 @@ def mehta_integral_quadrature(n, gamma, a, weight="plain", order=80, span=9.0):
                     diffs = diffs * np.abs(u[..., j] - u[..., i]) ** (2 * gamma)
             return np.exp(-a * np.sum(u ** 2, axis=-1)) * diffs
 
-        lo, hi = -span * sig, span * sig
+        lo, hi = -9.0 * sig, 9.0 * sig
     elif weight == "squared-diff-abs":
         def f(u):
             val = np.exp(-0.5 * np.sum(u ** 2, axis=-1))
@@ -332,10 +241,10 @@ def mehta_integral_quadrature(n, gamma, a, weight="plain", order=80, span=9.0):
 
         # integrand is symmetric under u -> -u coordinatewise; restrict to the
         # positive ordered sector and multiply by 2^n n!
-        val = chamber_integral(f, n, 0.0, span, order=order)
+        val = chamber_integral(f, n, 0.0, 9.0)
         return val * math.factorial(n) * 2 ** n
     else:
         raise ValueError("unknown weight %r" % (weight,))
 
-    val = chamber_integral(f, n, lo, hi, order=order)
+    val = chamber_integral(f, n, lo, hi)
     return val * math.factorial(n)

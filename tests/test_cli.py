@@ -122,6 +122,21 @@ def test_unread_flag_is_an_error(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--start", "0,2", "--end", "0,4", "--time", "4.9"],
+    ["count", "--start", "0,2", "--end", "0,4", "--time", "-2"],
+    ["survive", "--start", "0,2", "--time", "-1"],
+    ["survive", "--start", "0,2", "--time", "2.0"],
+])
+def test_lattice_time_must_be_a_step_count(argv, capsys):
+    # --time counts lattice steps here; a fraction is not truncated, a negative count
+    # is not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+
+
 COUNT_ARGV = ["count", "--start", "0", "--end", "0", "--time", "2"]
 
 # What pip's generated console-script launcher does, with the target resolved

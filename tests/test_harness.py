@@ -5,9 +5,8 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit import harness
-from viciouskit.harness import (Histogram, StatReport, ks_test, ks_two_sample,
-                                make_histogram, marginal_cdf, marginalize,
-                                verify_suite, walker_gap_cdf)
+from viciouskit.harness import (StatReport, ks_test, ks_two_sample, marginal_cdf,
+                                marginalize, verify_suite, walker_gap_cdf)
 from viciouskit.quadrature import ordered_grid
 from viciouskit.rmt import eigen_density
 from viciouskit.special_functions import psi
@@ -92,16 +91,6 @@ def test_statreport_verdict_invariant():
     assert StatReport("x", 1.5, 1.0, 10).verdict == "fail"
     d = StatReport("x", 0.5, 1.0, 10, metadata={"k": np.float64(2)}).as_dict()
     assert d["verdict"] == "pass" and d["metadata"]["k"] == 2.0
-
-
-def test_histogram_invariants():
-    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
-    h = make_histogram(rng.normal(size=777), bins=30)
-    assert isinstance(h, Histogram)
-    assert h.counts.sum() == h.total == 777
-    assert np.all(np.diff(h.edges) > 0)
-    with pytest.raises(ValueError):
-        make_histogram(np.array([]))
 
 
 def test_marginalize_single_coordinate_identity():

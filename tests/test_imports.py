@@ -1,7 +1,9 @@
 """Every import in the package modules, at module level or inside a function, is used,
-and the package imports nothing from scipy but `scipy.special`."""
+the package imports nothing from scipy but `scipy.special`, and every `__all__`
+entry names something its module defines."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -80,3 +82,12 @@ def test_import_loads_no_scipy_module_but_special():
     public = {m.split(".")[1] for m in out
               if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
     assert public <= {"special", "version"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_entries_exist(path):
+    # tooling walks each module's __all__ with getattr, so a stale entry breaks it
+    name = "viciouskit" if path.stem == "__init__" else "viciouskit." + path.stem
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert missing == []

@@ -408,8 +408,7 @@ def test_noncollision_parameter_names():
 def test_endpoint_values():
     ens = simulate_sde(SimConfig("sde-p", ModelSpec(2), step=1e-2, t_end=0.3,
                                  samples=40, seed=2))
-    gap = endpoint_values(ens, functional=lambda row: row[1] - row[0])
-    assert np.all(gap > 0)
     np.testing.assert_array_equal(endpoint_values(ens, 0), ens.paths[:, 0, -1])
-    with pytest.raises(ValueError):
+    assert np.all(endpoint_values(ens, 1) > endpoint_values(ens, 0))
+    with pytest.raises(TypeError):
         endpoint_values(ens)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ import pytest
 from viciouskit.special_functions import (constants, h_hat_poly, h_poly,
                                           mehta_integral,
                                           mehta_integral_quadrature, psi,
-                                          psi_hat, schur, schur_principal,
-                                          sp_character, sp_principal)
+                                          psi_hat)
 
 
 def test_psi_is_gaussian_mass():
@@ -121,90 +119,6 @@ def test_constants_frozen_values():
     assert c3.c_bar == pytest.approx(
         math.pi ** 1.5 * math.gamma(1) * math.gamma(2) * math.gamma(3)
         / (math.gamma(0.5) * math.gamma(1.0) * math.gamma(1.5)), rel=1e-12)
-
-
-def _exact_det(rows):
-    """Determinant of a Fraction matrix by exact Gaussian elimination."""
-    m = [list(r) for r in rows]
-    out = Fraction(1)
-    for c in range(len(m)):
-        p = next(r for r in range(c, len(m)) if m[r][c] != 0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            out = -out
-        out *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return out
-
-
-def _bialternant(z, num, den):
-    """Exact det(num(z_i, j)) / det(den(z_i, j)) at the float values z, as a float."""
-    z = [Fraction(v) for v in z]
-    cols = range(len(z))
-    return float(_exact_det([[num(v, j) for j in cols] for v in z])
-                 / _exact_det([[den(v, j) for j in cols] for v in z]))
-
-
-def _schur_exact(lam, z):
-    n = len(z)
-    return _bialternant(z, lambda v, j: v ** (lam[j] + n - 1 - j),
-                        lambda v, j: v ** (n - 1 - j))
-
-
-def _sp_exact(lam, z):
-    n = len(z)
-    return _bialternant(z, lambda v, j: v ** (lam[j] + n - j) - v ** -(lam[j] + n - j),
-                        lambda v, j: v ** (n - j) - v ** -(n - j))
-
-
-def test_schur_small_cases():
-    # s_(1,0)(x,y) = x + y; s_(2,1)(x,y) = xy(x+y); s_(1,1)(x,y) = xy
-    z = np.array([1.7, 0.4])
-    assert schur((1, 0), z) == pytest.approx(z.sum(), rel=1e-12)
-    assert schur((2, 1), z) == pytest.approx(z.prod() * z.sum(), rel=1e-12)
-    assert schur((1, 1), z) == pytest.approx(z.prod(), rel=1e-12)
-    # three variables: s_(1,1,1) = e_3, s_(2,0,0) = h_2
-    z3 = np.array([0.5, 1.1, 2.0])
-    assert schur((1, 1, 1), z3) == pytest.approx(z3.prod(), rel=1e-12)
-    h2 = sum(z3[i] * z3[j] for i in range(3) for j in range(i, 3))
-    assert schur((2, 0, 0), z3) == pytest.approx(h2, rel=1e-12)
-
-
-def test_schur_confluent_matches_generic():
-    lam = (3, 1, 0)
-    z_gen = np.array([1.0, 1.3, 0.6])
-    z_conf = np.array([1.0, 1.0 + 1e-9, 0.6])
-    near = schur(lam, z_conf)
-    limit = schur(lam, np.array([1.0 + 5e-4, 1.0, 0.6]))
-    assert near == pytest.approx(limit, rel=5e-3)
-    assert schur(lam, np.ones(3)) == pytest.approx(schur_principal(lam), rel=1e-12)
-    z_near = (1.0, 1.0 + 1e-7, 0.6)
-    assert schur(lam, np.array(z_near)) == pytest.approx(_schur_exact(lam, z_near), rel=1e-12)
-
-
-def test_sp_character_small_cases():
-    # N=1: sp_(k)(z) = (z^{k+1} - z^{-(k+1)}) / (z - 1/z)
-    z = 1.7
-    for k in (0, 1, 3):
-        expect = (z ** (k + 1) - z ** -(k + 1)) / (z - 1 / z)
-        assert sp_character((k,), np.array([z])) == pytest.approx(expect, rel=1e-12)
-    # principal specialization = dimension of the sp(2N) irrep
-    assert sp_principal((0, 0)) == pytest.approx(1.0)
-    assert sp_principal((1, 0)) == pytest.approx(4.0)   # defining rep of sp(4)
-    assert sp_principal((1, 1)) == pytest.approx(5.0)
-    assert sp_principal((2, 0)) == pytest.approx(10.0)  # adjoint of sp(4)
-
-
-def test_sp_character_continuity_at_one():
-    lam = (2, 1)
-    z = np.array([1.0 + 1e-8, 0.8])
-    z2 = np.array([1.001, 0.8])
-    assert sp_character(lam, z) == pytest.approx(sp_character(lam, z2), rel=1e-2)
-    z_near = (1.0 + 1e-7, 0.8)
-    assert sp_character(lam, np.array(z_near)) == pytest.approx(_sp_exact(lam, z_near), rel=1e-12)
-    assert sp_character(lam, np.ones(2)) == pytest.approx(sp_principal(lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
