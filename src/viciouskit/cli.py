@@ -19,6 +19,16 @@ def _positions(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _start(text):
+    """A lattice start: even, strictly increasing positions (combinatorics.LatticeConfig)."""
+    from .combinatorics import LatticeConfig
+
+    try:
+        return LatticeConfig(_positions(text)).positions
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("%s, got %r" % (exc, text)) from None
+
+
 def _steps(text):
     if not text.isdecimal():
         raise argparse.ArgumentTypeError("lattice steps must be a nonnegative integer, "
@@ -26,8 +36,26 @@ def _steps(text):
     return int(text)
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %r" % text)
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    return value
+
+
+def _increasing_floats(text):
+    """A continuum configuration: reals in strictly increasing order."""
+    x = tuple(float(v) for v in text.split(","))
+    if any(not b > a for a, b in zip(x, x[1:])):
+        raise argparse.ArgumentTypeError("positions must be strictly increasing, got %r" % text)
+    return x
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -193,16 +221,16 @@ def _cmd_verify(args):
 # Shared flags.  Each subcommand takes only the flags its _cmd_* reads, plus
 # --out and --format, which _emit reads; any other flag is an argparse error.
 _FLAGS = {
-    "n": dict(type=int, default=2, help="number of walkers"),
+    "n": dict(type=_positive_int, default=2, help="number of walkers"),
     "wall": dict(action="store_true", help="reflecting-wall variant"),
     "horizon": dict(type=float, default=math.inf,
                     help="nonintersection horizon T (inf for the h-transform family)"),
     "time": dict(type=float, default=1.0, help="evaluation/end time"),
-    "scale": dict(type=int, default=8, help="lattice scale L"),
-    "samples": dict(type=int, default=1000),
-    "step": dict(type=float, default=1e-3, help="SDE time step"),
+    "scale": dict(type=_positive_int, default=8, help="lattice scale L"),
+    "samples": dict(type=_positive_int, default=1000),
+    "step": dict(type=_positive_float, default=1e-3, help="SDE time step"),
     "seed": dict(type=int, default=0),
-    "streams": dict(type=int, default=1),
+    "streams": dict(type=_positive_int, default=1),
     "out": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json"),
 }
@@ -222,29 +250,30 @@ def build_parser():
 
     sp = command("count", "exact nonintersecting path count", "wall")
     sp.add_argument("--time", type=_steps, default=1, help="lattice steps")
-    sp.add_argument("--start", type=_positions, required=True, help="even positions, e.g. 0,2")
+    sp.add_argument("--start", type=_start, required=True, help="even positions, e.g. 0,2")
     sp.add_argument("--end", type=_positions, required=True)
     sp.set_defaults(fn=_cmd_count)
 
     sp = command("survive", "exact lattice survival probability", "wall")
     sp.add_argument("--time", type=_steps, default=1, help="lattice steps")
-    sp.add_argument("--start", type=_positions, required=True)
+    sp.add_argument("--start", type=_start, required=True)
     sp.set_defaults(fn=_cmd_survive)
 
     sp = command("density", "origin-start transition density at a point",
                  "wall", "horizon", "time")
-    sp.add_argument("--at", type=_floats, required=True, help="ordered reals, e.g. 0.1,0.9")
+    sp.add_argument("--at", type=_increasing_floats, required=True,
+                    help="ordered reals, e.g. 0.1,0.9")
     sp.set_defaults(fn=_cmd_density)
 
     sp = command("survival", "Brownian non-collision probability (Pfaffian)", "wall", "time")
-    sp.add_argument("--at", type=_floats, required=True)
+    sp.add_argument("--at", type=_increasing_floats, required=True)
     sp.set_defaults(fn=_cmd_survival)
 
     sp = command("simulate", "walker or SDE path ensembles", "n", "wall", "horizon",
                  "time", "scale", "samples", "step", "seed", "streams")
     sp.add_argument("--model", choices=("walker", "sde-g", "sde-p"), default="walker")
-    sp.add_argument("--start", type=_positions, default=None, help="walker lattice start")
-    sp.add_argument("--at", type=_floats, default=None, help="SDE interior start")
+    sp.add_argument("--start", type=_start, default=None, help="walker lattice start")
+    sp.add_argument("--at", type=_increasing_floats, default=None, help="SDE interior start")
     # SDE end time defaults to the guarded horizon (sde-g) or 1.0 (sde-p)
     sp.set_defaults(fn=_cmd_simulate, time=None, horizon=1.0)
 

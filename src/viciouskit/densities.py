@@ -95,37 +95,61 @@ def _pairs(n):
     return i, j
 
 
+@functools.lru_cache(maxsize=None)
+def _partner_pairs(n):
+    """Each walker's pairs and its sign in them, read-only (n, n - 1) arrays.
+
+    Row k holds the _pairs(n) index of the pair of walker k with each other
+    walker, in ascending order of that walker, and the sign is +1 where k is
+    the lower walker of the pair.
+    """
+    i, j = _pairs(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    walker, partner = np.nonzero(~np.eye(n, dtype=bool))
+    index = pair[walker, partner].reshape((n, n - 1))
+    sign = np.where(walker < partner, 1.0, -1.0).reshape((n, n - 1))
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
 def _survival_matrix(t, xs, wall):
     """Skew matrices A with Pf(A) = non-collision probability, and D = dA_kj/dx_k.
 
-    xs holds configurations along its last axis; A and D have shape
-    (..., d, d) with d = N, or N + 1 when N is odd (A is then bordered by a
-    last row and column).  D[..., k, j] is the derivative of A[..., k, j] in
-    the coordinate x_k, for k < N.
+    xs holds configurations along its last axis and is flattened to b rows.
+    A and D are batch-last, shape (d, d, b), with d = N, or N + 1 when N is
+    odd (A is then bordered by a last row and column): A[:, :, r] is the
+    matrix of row r.  D[k, j] is the derivative of A[k, j] in the
+    coordinate x_k, for k < N.  Both are fresh arrays, so A can go straight
+    to linalg._skew_eliminate, which overwrites it.
     """
     n = xs.shape[-1]
     dim = n + n % 2
-    a = np.zeros(xs.shape[:-1] + (dim, dim))
-    d = np.zeros_like(a)
+    x = xs.reshape((-1, n)).T
+    a = np.zeros((dim, dim, x.shape[1]))
+    d = np.zeros(a.shape)
     i, j = _pairs(n)
     if wall:
         root = math.sqrt(2 * t)
-        u = xs / root
-        a[..., i, j] = psi_hat(u[..., i], u[..., j])
-        g1, g2 = _psi_hat_grad(u[..., i], u[..., j])
-        d[..., i, j] = g1 / root
-        d[..., j, i] = -g2 / root
+        u = x / root
+        # psi_hat sums its quadrature through BLAS, which can round an entry
+        # differently by its place in the array; on (b, pairs) views each
+        # configuration's pairs keep the places they have in a row-major batch
+        a[i, j] = psi_hat(u[i].T, u[j].T).T
+        g1, g2 = _psi_hat_grad(u[i], u[j])
+        d[i, j] = g1 / root
+        d[j, i] = -g2 / root
         if dim > n:
-            a[..., :n, n] = psi(u)
-            d[..., :n, n] = _psi_grad(u) / root
+            a[:n, n] = psi(u)
+            d[:n, n] = _psi_grad(u) / root
     else:
         root = 2 * math.sqrt(t)
-        z = (xs[..., j] - xs[..., i]) / root
-        a[..., i, j] = psi(z)
-        d[..., i, j] = d[..., j, i] = -_psi_grad(z) / root
+        z = (x[j] - x[i]) / root
+        a[i, j] = psi(z)
+        d[i, j] = d[j, i] = -_psi_grad(z) / root
         if dim > n:
-            a[..., :n, n] = 1.0
-    return a - np.swapaxes(a, -1, -2), d
+            a[:n, n] = 1.0
+    return a - np.swapaxes(a, 0, 1), d
 
 
 def survival(t, x, wall=False):
@@ -146,7 +170,8 @@ def survival_batch(t, xs, wall=False):
         raise ValueError("remaining time must be nonnegative")
     if t == 0:
         return np.ones(xs.shape[:-1])
-    return linalg.pfaffian(_survival_matrix(t, xs, wall)[0])
+    a = _survival_matrix(t, xs, wall)[0]
+    return linalg.pfaffian(np.moveaxis(a, -1, 0)).reshape(xs.shape[:-1])
 
 
 def g_density(spec, s, x, t, y):
@@ -214,28 +239,34 @@ def drift(spec, t, x):
 def drift_batch(spec, t, xs):
     """Drift evaluated across a batch of configurations (rows strictly ordered).
 
-    Finite horizon: the gradient of log survival(T - t, .), exactly, from
-    d_k log Pf(A) = sum_j (A^-1)_jk dA_kj/dx_k over the survival matrix A.
-    One Parlett-Reid elimination M A M^T = B (linalg._skew_eliminate) gives
-    A^-1 = M^T B^-1 M with B block-diagonal, so no inverse is formed.  A
-    row whose survival matrix is singular (coincident walkers) raises
-    ValueError.  Infinite horizon: the closed interacting form
-    sum_{j != i} 1/(x_i - x_j), plus 1/x_i and 1/(x_i + x_j) terms behind
-    the wall.
+    xs holds configurations along its last axis; the drift has the shape
+    of xs.  Finite horizon: the gradient of log survival(T - t, .),
+    exactly, from d_k log Pf(A) = sum_j (A^-1)_jk dA_kj/dx_k over the
+    survival matrix A.  A and D = dA/dx come batch-last, (d, d, b), from
+    _survival_matrix, and one Parlett-Reid elimination of A in place,
+    M A M^T = B (linalg._skew_eliminate), gives A^-1 = M^T B^-1 M with B
+    block-diagonal, so no inverse is formed.  A row whose survival matrix
+    is singular (coincident walkers) raises ValueError.
+
+    Infinite horizon: the closed interacting form sum_{j != i} 1/(x_i - x_j),
+    plus 1/x_i + sum_{j != i} 1/(x_i + x_j) behind the wall.  The
+    N(N-1)/2 reciprocal gaps 1/(x_i - x_j), i < j (and the reciprocal sums
+    behind the wall) are taken once; each walker gathers its N - 1 of them in
+    partner order, signed by its place in the pair (_partner_pairs), and sums
+    them.  These are the written-out sums' terms in their order, so a row's
+    drift does not depend on the rows batched with it.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     xs = np.asarray(xs, dtype=float)
     if wall and np.any(xs[..., 0] <= 0):
         raise ValueError("configuration lies on the wall (x_1 <= 0): the drift is undefined there")
     if math.isinf(T):
-        diag = np.arange(n)
-        diff = xs[..., :, None] - xs[..., None, :]
-        diff[..., diag, diag] = np.inf
-        b = np.sum(1.0 / diff, axis=-1)
+        i, j = _pairs(n)
+        index, sign = _partner_pairs(n)
+        xi, xj = xs[..., i], xs[..., j]
+        b = ((1.0 / (xi - xj))[..., index] * sign).sum(axis=-1)
         if wall:
-            s = xs[..., :, None] + xs[..., None, :]
-            s[..., diag, diag] = np.inf
-            b = b + 1.0 / xs + np.sum(1.0 / s, axis=-1)
+            b = b + 1.0 / xs + (1.0 / (xi + xj))[..., index].sum(axis=-1)
         return b
     if not (t < T):
         raise ValueError("the finite-horizon drift is singular at t = horizon")
@@ -252,9 +283,7 @@ def drift_batch(spec, t, xs):
     q = m[0::2] / pivots[:, None]
     r = m[1::2]
     inv_t = np.sum(q[:, :n, None] * r[:, None] - r[:, :n, None] * q[:, None], axis=0)
-    d = np.moveaxis(d.reshape((-1,) + d.shape[-2:])[:, :n], 0, -1)
-    out = np.sum(inv_t * d, axis=1).T
-    return out.reshape(xs.shape)
+    return np.sum(inv_t * d[:n], axis=1).T.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

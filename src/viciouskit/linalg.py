@@ -4,7 +4,13 @@ Spectra are delegated to LAPACK through numpy.  No standard library routine
 exists for the Pfaffian, so one batched Parlett-Reid elimination with
 pivoting, the congruence M A M^T = B to 2x2 blocks, gives it; the same
 elimination gives A^-1 = M^T B^-1 M for the survival drift in `densities`.
+The elimination works on batch-last stacks, shape (n, n, b), so every step
+is one elementwise operation across the batch; it overwrites the stack it
+is given.  `pfaffian` takes the usual (..., n, n) layout and makes that
+stack itself; `densities` builds its survival matrices batch-last.
 """
+
+import math
 
 import numpy as np
 
@@ -14,14 +20,14 @@ _ATOL = 1e-12    # skew and Hermitian input checks, scaled by max(largest |entry
 
 
 def _skew_eliminate(a):
-    """Parlett-Reid congruence M A M^T = B of a stack of skew matrices.
+    """Parlett-Reid congruence M A M^T = B of a batch-last stack of skew matrices.
 
-    a holds even-dimensional skew matrices on its last two axes and is taken
-    as skew by construction; it is not checked.  Inside, the stack is laid
-    out batch-last, (n, n, b), so every step is one elementwise operation
-    across the batch.  Before each 2x2 step the largest |a[k, j]|, j > k,
-    is swapped into position k + 1.  Returns (sign, pivots, m), batch-last
-    with the batch flattened:
+    a, shape (n, n, b), holds b even-dimensional skew matrices, matrix
+    index first and batch last.  It is taken as skew by construction and
+    not checked, and it is eliminated in place: its contents are destroyed,
+    so the caller passes an array it owns and no longer needs.  Before each
+    2x2 step the largest |a[k, j]|, j > k, is swapped into position k + 1.
+    Returns (sign, pivots, m):
 
     * m, shape (n, n, b): the row swaps and unit-lower eliminations
       applied to the identity;
@@ -32,11 +38,9 @@ def _skew_eliminate(a):
     marks a singular matrix; its step divides by 1 instead, so nothing
     divides by zero.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    size = int(np.prod(a.shape[:-2]))
-    a = np.moveaxis(a.reshape((size, n, n)), 0, -1).copy()
-    m = np.repeat(np.eye(n)[:, :, None], size, axis=2)
+    n, _, size = a.shape
+    m = np.zeros(a.shape)
+    m[np.arange(n), np.arange(n)] = 1.0
     sign = np.ones(size)
     pivots = np.empty((n // 2, size))
     for k in range(0, n, 2):
@@ -65,22 +69,25 @@ def _skew_eliminate(a):
 def pfaffian(a):
     """Pfaffian of even-dimensional skew-symmetric matrices, batched over leading axes.
 
-    Validates the input, then takes sign * prod(pivots) from one
-    Parlett-Reid elimination (_skew_eliminate, largest-entry pivoting);
-    satisfies pfaffian(a)^2 = det(a).  A (..., n, n) input gives an array of
-    shape (...); a 2-D input gives a float.  A singular matrix has
-    Pfaffian exactly 0.0, never -0.0.
+    Validates the input, copies it once into a batch-last stack and takes
+    sign * prod(pivots) from one Parlett-Reid elimination of that copy
+    (_skew_eliminate, largest-entry pivoting); satisfies
+    pfaffian(a)^2 = det(a).  A (..., n, n) input gives an array of shape
+    (...); a 2-D input gives a float.  A singular matrix has Pfaffian
+    exactly 0.0, never -0.0.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if a.shape[-1] % 2 != 0:
+    n = a.shape[-1]
+    if n % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
     scale = np.abs(a).max() if a.size else 0.0
     if not np.allclose(a, -np.swapaxes(a, -1, -2), atol=_ATOL * max(scale, 1.0)):
         raise ValueError("matrix is not skew-symmetric")
     batch = a.shape[:-2]
-    sign, pivots, _ = _skew_eliminate(a)
+    stack = np.moveaxis(a, (-2, -1), (0, 1)).reshape((n, n, math.prod(batch))).copy()
+    sign, pivots, _ = _skew_eliminate(stack)
     pf = sign * np.prod(pivots, axis=0)
     pf = np.where(pf == 0.0, 0.0, pf)
     return float(pf[0]) if not batch else pf.reshape(batch)

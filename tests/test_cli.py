@@ -137,6 +137,23 @@ def test_lattice_time_must_be_a_step_count(argv, capsys):
     assert "nonnegative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["survive", "--start", "0,3", "--time", "2"], "--start"),
+    (["simulate", "--samples", "0"], "--samples"),
+    (["simulate", "--model", "sde-p", "--n", "2", "--step", "-1", "--samples", "3"], "--step"),
+    (["survival", "--at", "1,0", "--time", "1"], "--at"),
+    (["density", "--at", "0.5,0.1", "--time", "0.5"], "--at"),
+    (["density", "--at", "0.5,0.1", "--time", "0.5", "--horizon", "1"], "--at"),
+])
+def test_bad_outside_input_names_the_flag(argv, flag, capsys):
+    # not a library traceback with exit 1, nor (an unordered --at) the density at
+    # the sorted point with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument %s: " % flag in capsys.readouterr().err
+
+
 COUNT_ARGV = ["count", "--start", "0", "--end", "0", "--time", "2"]
 
 # What pip's generated console-script launcher does, with the target resolved

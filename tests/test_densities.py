@@ -140,23 +140,40 @@ def test_drift_two_walker_closed_form_vs_finite_difference():
     assert batch[0] == pytest.approx(-batch[1], rel=1e-12)
 
 
-def test_drift_infinite_horizon_closed_forms():
-    spec = ModelSpec(3, horizon=math.inf)
-    x = np.array([-1.0, 0.2, 1.7])
-    b = drift(spec, 0.5, x)
-    expect = np.array([sum(1.0 / (x[i] - x[j]) for j in range(3) if j != i)
-                       for i in range(3)])
-    np.testing.assert_allclose(b, expect, rtol=1e-12)
-    # wall variant equals the gradient of log h_hat
-    specw = ModelSpec(3, horizon=math.inf, wall=True)
-    xw = np.array([0.4, 1.1, 2.3])
-    bw = drift(specw, 0.5, xw)
-    eps = 1e-6
-    fd = np.array([
-        (math.log(h_hat_poly(xw + eps * np.eye(3)[i]))
-         - math.log(h_hat_poly(xw - eps * np.eye(3)[i]))) / (2 * eps)
-        for i in range(3)])
-    np.testing.assert_allclose(bw, fd, rtol=1e-7)
+def _loop_drift_p(x, wall):
+    """The h-transform drift of one configuration, summed walker by walker."""
+    n = len(x)
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = sum(1.0 / (x[i] - x[j]) for j in range(n) if j != i)
+        if wall:
+            out[i] = out[i] + 1.0 / x[i] + sum(1.0 / (x[i] + x[j]) for j in range(n) if j != i)
+    return out
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_drift_infinite_horizon_closed_forms(n, wall):
+    # drift_batch's per-walker pair sums, batched and row by row, against
+    # sum_{j != i} 1/(x_i - x_j), plus 1/x_i + sum_{j != i} 1/(x_i + x_j) behind the wall
+    rng = np.random.Generator(np.random.Philox(key=[12, n]))
+    spec = ModelSpec(n, horizon=math.inf, wall=wall)
+    xs = np.sort(rng.uniform(0.05 if wall else -3.0, 3.0, size=(50, n)), axis=1)
+    xs += np.arange(n) * 0.1
+    expect = np.array([_loop_drift_p(row, wall) for row in xs])
+    np.testing.assert_allclose(drift_batch(spec, 0.5, xs), expect, rtol=1e-14)
+    np.testing.assert_allclose(drift_batch(spec, 0.5, xs.reshape(5, 10, n)),
+                               expect.reshape(5, 10, n), rtol=1e-14)
+    np.testing.assert_allclose([drift(spec, 0.5, row) for row in xs], expect, rtol=1e-14)
+    if wall:
+        # the wall drift equals the gradient of log h_hat
+        xw = np.array([0.4, 1.1, 2.3, 3.0, 3.6, 4.5])[:n]
+        eps = 1e-6
+        fd = np.array([
+            (math.log(h_hat_poly(xw + eps * np.eye(n)[i]))
+             - math.log(h_hat_poly(xw - eps * np.eye(n)[i]))) / (2 * eps)
+            for i in range(n)])
+        np.testing.assert_allclose(drift(spec, 0.5, xw), fd, rtol=1e-7)
 
 
 def test_drift_batch_matches_pointwise():
@@ -214,15 +231,15 @@ def test_drift_matches_high_precision_inverse(n, wall):
     rng = np.random.Generator(np.random.Philox(key=[8, n]))
     spec = ModelSpec(n, horizon=1.0, wall=wall)
     xs = np.sort(rng.uniform(0.05, 3.0, size=(40, n)), axis=1)
-    a, d = _survival_matrix(spec.horizon - 0.3, xs, wall)
+    a, d = _survival_matrix(spec.horizon - 0.3, xs, wall)     # batch-last, (dim, dim, rows)
     ref = np.empty_like(xs)
     with mp.workdps(50):
         for r in range(len(xs)):
-            inv = mp.inverse(mp.matrix(a[r].tolist()))
+            inv = mp.inverse(mp.matrix(a[:, :, r].tolist()))
             for k in range(n):
-                ref[r, k] = float(mp.fsum(inv[j, k] * d[r, k, j] for j in range(a.shape[-1])))
+                ref[r, k] = float(mp.fsum(inv[j, k] * d[k, j, r] for j in range(a.shape[0])))
     b = drift_batch(spec, 0.3, xs)
-    bound = np.maximum(1e-8, np.finfo(float).eps * np.linalg.cond(a))
+    bound = np.maximum(1e-8, np.finfo(float).eps * np.linalg.cond(np.moveaxis(a, -1, 0)))
     assert np.all(np.abs(b - ref) / np.abs(ref) <= bound[:, None])
 
 

@@ -70,6 +70,26 @@ def test_pfaffian_batched_stack():
     assert out[2] == 0.0
 
 
+def test_pfaffian_batch_shapes_leave_input_untouched():
+    # pfaffian copies its (..., n, n) input into the batch-last stack that the
+    # elimination overwrites, for empty matrices and empty batches too
+    np.testing.assert_array_equal(pfaffian(np.zeros((2, 3, 0, 0))), np.ones((2, 3)))
+    assert pfaffian(np.zeros((0, 4, 4))).shape == (0,)
+    # swapping indices 1 and 4 puts the largest |a[0, j]| at j = 1, so the first
+    # elimination step has no row swap and works on the stack itself
+    perm = [0, 4, 2, 3, 1, 5]
+    a = _skew6()[np.ix_(perm, perm)]
+    stack = np.stack([a, -a] * 3).reshape(3, 2, 6, 6)
+    before = stack.copy()
+    out = pfaffian(stack)
+    assert out.shape == (3, 2)
+    np.testing.assert_allclose(out, [[-FROZEN_PF, FROZEN_PF]] * 3, rtol=1e-12)
+    # a strided view: the transpose of a 6x6 skew matrix has Pfaffian (-1)^3 Pf
+    np.testing.assert_allclose(pfaffian(np.swapaxes(stack, -1, -2)[::2]), -out[::2],
+                               rtol=1e-12)
+    np.testing.assert_array_equal(stack, before)
+
+
 def test_symmetric_eigenvalues_sorted_and_checked():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_allclose(symmetric_eigenvalues(m), [1.0, 3.0])
