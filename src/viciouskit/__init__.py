@@ -15,7 +15,7 @@ from .densities import (ModelSpec, de_bruijn_check, drift, drift_batch, g_densit
                         survival_asymptotics, survival_batch)
 from .harness import (StatReport, ks_test, ks_two_sample, marginal_cdf, marginalize,
                       verify_suite)
-from .linalg import pfaffian, symmetric_eigenvalues
+from .linalg import pfaffian
 from .montecarlo import (PathEnsemble, SimConfig, endpoint_values, noncollision_mc,
                          sample_origin_law, simulate_sde, simulate_walkers)
 from .quadrature import chamber_integral, ordered_grid

@@ -223,7 +223,7 @@ def _cmd_verify(args):
 _FLAGS = {
     "n": dict(type=_positive_int, default=2, help="number of walkers"),
     "wall": dict(action="store_true", help="reflecting-wall variant"),
-    "horizon": dict(type=float, default=math.inf,
+    "horizon": dict(type=_positive_float, default=math.inf,
                     help="nonintersection horizon T (inf for the h-transform family)"),
     "time": dict(type=float, default=1.0, help="evaluation/end time"),
     "scale": dict(type=_positive_int, default=8, help="lattice scale L"),
@@ -293,8 +293,27 @@ def build_parser():
     return p
 
 
+def _input_error(args):
+    """An argparse message for a start behind --wall or a time out of range, else None."""
+    if getattr(args, "wall", False):
+        for flag in ("start", "at"):
+            x = getattr(args, flag, None)
+            sde = flag == "at" and args.command == "simulate"   # off the wall too
+            if x and (x[0] <= 0 if sde else x[0] < 0):
+                return ("argument --%s: the first position must be %s with --wall, got %s"
+                        % (flag, "positive" if sde else "nonnegative", x))
+    if args.command == "density" and not 0 < args.time <= args.horizon:
+        return "argument --time: must lie in (0, horizon = %r], got %r" % (args.horizon, args.time)
+    if args.command == "survival" and not args.time >= 0:
+        return "argument --time: must be nonnegative, got %r" % args.time
+    return None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if error := _input_error(args):
+        parser.error(error)
     return args.fn(args)
 
 

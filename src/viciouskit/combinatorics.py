@@ -85,25 +85,16 @@ def _bareiss_det(m):
     return sign * a[n - 1][n - 1]
 
 
-def _binom_entry(m, u_j, v_i, wall):
-    top = m + u_j - v_i
-    if top % 2 != 0:
-        return 0
-    e = math.comb(m, top // 2) if 0 <= top // 2 <= m else 0
-    if wall:
-        k2 = (m + u_j + v_i) // 2 + 1
-        e -= math.comb(m, k2) if 0 <= k2 <= m else 0
-    return e
+def _binomial_row(m):
+    """The exact binomials C(m, k), k = 0..m, as a list of Python ints.
 
-
-def _end_positions(m, u, v):
-    """The endpoint v as a tuple of ints, checked against m and the start u."""
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    v_pos = tuple(int(p) for p in v)
-    if len(u) != len(v_pos):
-        raise ValueError("start and end configurations differ in length")
-    return v_pos
+    Built by the recurrence C(m, k+1) = C(m, k)(m-k)/(k+1), whose divisions
+    are exact.
+    """
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
 
 
 def count_paths(m, u, v):
@@ -114,12 +105,19 @@ def count_paths(m, u, v):
     wall model.  Infeasible endpoints (bad parity, out of order, out of
     reach, behind the wall) count zero.
     """
-    v_pos = _end_positions(m, u, v)
+    if m < 0:
+        raise ValueError("step count must be nonnegative")
+    v = tuple(int(p) for p in v)
     n = len(u)
-    if any(b <= a for a, b in zip(v_pos, v_pos[1:])) or (u.wall and v_pos[0] < 0):
+    if len(v) != n:
+        raise ValueError("start and end configurations differ in length")
+    if any(b <= a for a, b in zip(v, v[1:])) or (u.wall and v[0] < 0):
         return WalkCount(value=0, steps=m, n_walkers=n)
-    mat = [[_binom_entry(m, u.positions[j], v_pos[i], u.wall) for j in range(n)] for i in range(n)]
-    val = _bareiss_det(mat)
+    # C(m, k) keyed by 2k: key m + a - b reads C(m, (m + a - b)/2), and an odd
+    # key or one out of range reads 0
+    binom = {2 * k: c for k, c in enumerate(_binomial_row(m))}.get
+    val = _bareiss_det([[binom(m + a - b, 0) - (binom(m + a + b + 2, 0) if u.wall else 0)
+                         for a in u.positions] for b in v])
     if val < 0:
         raise AssertionError("determinant count came out negative: %d" % val)
     return WalkCount(value=val, steps=m, n_walkers=n)
@@ -155,9 +153,9 @@ def _walk_weights(m, u, exact):
 
     The weight is the binomial C(m, (m+v-u_i)/2), less the reflected term
     C(m, (m+u_i+v)/2 + 1) behind the wall, where the grid starts at v >= 0.
-    Python ints from the running recurrence C(m, k+1) = C(m, k)(m-k)/(k+1)
-    when exact, else the binomial(m, 1/2) probabilities, which are the
-    binomials normalised by 2^m (see _binomial_half_row).
+    Python ints from _binomial_row when exact, else the binomial(m, 1/2)
+    probabilities, which are the binomials normalised by 2^m (see
+    _binomial_half_row).
     """
     pos = np.asarray(u.positions)
     lo = pos[0] - m
@@ -165,10 +163,7 @@ def _walk_weights(m, u, exact):
         lo = max(lo, m % 2)
     v = np.arange(lo, pos[-1] + m + 1, 2)
     if exact:
-        row = [1]
-        for k in range(m):
-            row.append(row[-1] * (m - k) // (k + 1))
-        row = np.array(row + [0], dtype=object)
+        row = np.array(_binomial_row(m) + [0], dtype=object)
     else:
         row = np.append(_binomial_half_row(m), 0.0)
 
@@ -212,24 +207,20 @@ def survival_probability(m, u, exact=True):
     return Fraction(pf, 1 << (m * n))
 
 
-def oracle_count_dp(m, u, v=None, return_steps=False):
+def oracle_count_dp(m, u, return_steps=False):
     """Brute-force DP over joint ordered configurations.
 
     Independent of the determinant route; enforces strict order (and the
-    wall constraint at steps 1..m) at every step.  Returns a WalkCount for a
-    fixed endpoint v, a dict endpoint -> count when v is None, or (with
-    return_steps) the list of those dicts after steps 1..m.  Counts are
-    held in int64, safe up to 2^{mN} < 2^63.  At most 4 walkers and 12
-    steps.
+    wall constraint at steps 1..m) at every step.  Returns a dict endpoint
+    -> WalkCount, or (with return_steps) the list of those dicts after
+    steps 1..m.  Counts are held in int64, safe up to 2^{mN} < 2^63.  At
+    most 4 walkers and 12 steps.
     """
     n = len(u)
     if n > 4 or m > 12:
         raise ValueError("instance too large for the DP oracle")
     if m * n >= 62:
         raise ValueError("counts could overflow the DP accumulator")
-    v_pos = None
-    if v is not None:
-        v_pos = _end_positions(m, u, v)
 
     moves = np.array([[1 if k >> i & 1 else -1 for i in range(n)]
                       for k in range(1 << n)], dtype=np.int64)
@@ -237,8 +228,13 @@ def oracle_count_dp(m, u, v=None, return_steps=False):
     counts = np.ones(1, dtype=np.int64)
     offset = abs(min(u.positions)) + m + 1
     base = max(u.positions) + offset + m + 2
+
+    def table(steps):
+        return {tuple(int(p) for p in s): WalkCount(value=int(c), steps=steps, n_walkers=n)
+                for s, c in zip(states, counts)}
+
     snapshots = []
-    for _ in range(m):
+    for k in range(m):
         new = (states[:, None, :] + moves[None, :, :]).reshape(-1, n)
         cnt = np.repeat(counts, 1 << n)
         ok = np.all(new[:, 1:] > new[:, :-1], axis=1) if n > 1 else np.ones(len(new), bool)
@@ -253,15 +249,8 @@ def oracle_count_dp(m, u, v=None, return_steps=False):
         first[inv[::-1]] = np.arange(len(keys) - 1, -1, -1)
         states, counts = new[first], agg
         if return_steps:
-            snapshots.append({tuple(int(p) for p in s): int(c)
-                              for s, c in zip(states, counts)})
-    table = {tuple(int(p) for p in s): int(c) for s, c in zip(states, counts)}
-    if return_steps:
-        return [{cfg: WalkCount(value=c, steps=k + 1, n_walkers=n)
-                 for cfg, c in snap.items()} for k, snap in enumerate(snapshots)]
-    if v is not None:
-        return WalkCount(value=table.get(v_pos, 0), steps=m, n_walkers=n)
-    return {cfg: WalkCount(value=c, steps=m, n_walkers=n) for cfg, c in table.items()}
+            snapshots.append(table(k + 1))
+    return snapshots if return_steps else table(m)
 
 
 def time_lattice(scale, t):

@@ -132,10 +132,7 @@ def _survival_matrix(t, xs, wall):
     if wall:
         root = math.sqrt(2 * t)
         u = x / root
-        # psi_hat sums its quadrature through BLAS, which can round an entry
-        # differently by its place in the array; on (b, pairs) views each
-        # configuration's pairs keep the places they have in a row-major batch
-        a[i, j] = psi_hat(u[i].T, u[j].T).T
+        a[i, j] = psi_hat(u[i], u[j])
         g1, g2 = _psi_hat_grad(u[i], u[j])
         d[i, j] = g1 / root
         d[j, i] = -g2 / root
@@ -339,12 +336,13 @@ def survival_asymptotics(t, x, wall=False):
 def de_bruijn_check(n, kernel, x, order=80):
     """Residual of the chamber-integral-of-determinant = Pfaffian reduction.
 
-    kernel "gaussian": z(a, b) = exp(-(a-b)^2)/sqrt(pi) on the full line;
-    kernel "wall-gaussian": the reflected difference restricted to the
-    nonnegative half-line.  n <= 3.  The integral runs to 7 past the
-    outermost point.  At the default order the residual at
-    x = (0.3, 1.1, 2.2)[:n] is 3e-16 (n = 3, "gaussian") and at most 2e-15
-    (n = 2, both kernels).
+    The determinant is km_density at t = 1/2, whose kernel is
+    exp(-(a-b)^2)/sqrt(pi): kernel "gaussian" integrates it over the full
+    line, "wall-gaussian" its reflected difference over the nonnegative
+    half-line.  n <= 3.  The integral runs to 7 past the outermost point.
+    At the default order the residual at x = (0.3, 1.1, 2.2)[:n] is 5e-16
+    (n = 3, "gaussian"), 5e-15 (n = 3, "wall-gaussian") and at most
+    1.4e-15 (n = 2, both kernels).
     """
     if n < 1 or n > 3:
         raise ValueError("quadrature check supports n <= 3")
@@ -353,20 +351,9 @@ def de_bruijn_check(n, kernel, x, order=80):
         raise ValueError("unknown kernel %r" % (kernel,))
     x = _check_chamber(x, wall)
 
-    if wall:
-        def z(a, b):
-            return (np.exp(-((a - b) ** 2)) - np.exp(-((a + b) ** 2))) / math.sqrt(math.pi)
-        lo, hi = 0.0, float(x.max() + 7.0)
-    else:
-        def z(a, b):
-            return np.exp(-((a - b) ** 2)) / math.sqrt(math.pi)
-        lo, hi = float(x.min() - 7.0), float(x.max() + 7.0)
-
-    def integrand(y):
-        mats = z(x.reshape((1,) * (y.ndim - 1) + (n, 1)), y[..., None, :])
-        return np.linalg.det(mats)
-
-    integral = chamber_integral(integrand, n, lo, hi, order=order)
+    lo = 0.0 if wall else float(x.min() - 7.0)
+    integral = chamber_integral(functools.partial(km_density, 0.5, x, wall=wall), n, lo,
+                                float(x.max() + 7.0), order=order)
     # at t = 1/2 the survival scalings give u = x and (x_j - x_i)/sqrt(2)
     pf = survival(0.5, x, wall)
     return abs(integral - pf) / abs(pf)

@@ -1,9 +1,9 @@
-"""Pfaffians and a Hermitian eigensolver.
+"""Pfaffians of skew-symmetric matrices.
 
-Spectra are delegated to LAPACK through numpy.  No standard library routine
-exists for the Pfaffian, so one batched Parlett-Reid elimination with
-pivoting, the congruence M A M^T = B to 2x2 blocks, gives it; the same
-elimination gives A^-1 = M^T B^-1 M for the survival drift in `densities`.
+No standard library routine exists for the Pfaffian, so one batched
+Parlett-Reid elimination with pivoting, the congruence M A M^T = B to 2x2
+blocks, gives it; the same elimination gives A^-1 = M^T B^-1 M for the
+survival drift in `densities`.
 The elimination works on batch-last stacks, shape (n, n, b), so every step
 is one elementwise operation across the batch; it overwrites the stack it
 is given.  `pfaffian` takes the usual (..., n, n) layout and makes that
@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-__all__ = ["pfaffian", "symmetric_eigenvalues"]
+__all__ = ["pfaffian"]
 
-_ATOL = 1e-12    # skew and Hermitian input checks, scaled by max(largest |entry|, 1)
+_ATOL = 1e-12    # skew input check, scaled by max(largest |entry|, 1)
 
 
 def _skew_eliminate(a):
@@ -91,12 +91,3 @@ def pfaffian(a):
     pf = sign * np.prod(pivots, axis=0)
     pf = np.where(pf == 0.0, 0.0, pf)
     return float(pf[0]) if not batch else pf.reshape(batch)
-
-
-def symmetric_eigenvalues(m):
-    """Ascending eigenvalues of a real symmetric or complex Hermitian matrix."""
-    m = np.asarray(m)
-    scale = np.abs(m).max() if m.size else 0.0
-    if not np.allclose(m, np.conj(np.swapaxes(m, -1, -2)), atol=_ATOL * max(scale, 1.0)):
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .combinatorics import LatticeConfig, time_lattice
 from .densities import ModelSpec, drift_batch, survival_batch
-from .linalg import symmetric_eigenvalues
 from .special_functions import _small_gap_survival
 
 __all__ = [
@@ -254,7 +253,7 @@ def _two_matrix_spectra(rng, n, gue_var, goe_var, draws):
     if goe_var > 0:
         g = rng.normal(scale=math.sqrt(goe_var), size=(draws, n, n))
         mats = mats + (g + np.swapaxes(g, 1, 2)) / 2.0
-    return symmetric_eigenvalues(mats)
+    return np.linalg.eigvalsh(mats)
 
 
 def _antisym_spectra(rng, n, variance, draws):
@@ -270,7 +269,7 @@ def _antisym_spectra(rng, n, variance, draws):
     g = rng.normal(scale=math.sqrt(variance), size=(draws, dim, dim))
     a = np.triu(g, k=1)
     a = a - np.swapaxes(a, 1, 2)
-    eig = symmetric_eigenvalues(1j * a)
+    eig = np.linalg.eigvalsh(1j * a)
     return eig[:, n + 1:]           # the n positive eigenvalues, ascending
 
 
@@ -282,7 +281,7 @@ def _wishart_sqrt_spectra(rng, n, variance, draws):
     proportional to exp(-sum lambda/2) prod (lambda_j - lambda_i).
     """
     g = rng.normal(size=(draws, n, n + 1))
-    lam = symmetric_eigenvalues(g @ np.swapaxes(g, 1, 2))
+    lam = np.linalg.eigvalsh(g @ np.swapaxes(g, 1, 2))
     return math.sqrt(variance) * np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -408,13 +407,11 @@ def simulate_sde(cfg):
                 raise ValueError("SDE start must be strictly interior")
             x = np.broadcast_to(x0, (quota, n)).copy()
         rec = np.empty((quota, n, len(cols)))
-        ptr = 0
-        if cols[0] == 0:
-            rec[:, :, 0] = x
-            ptr = 1
+        rec[:, :, 0] = x
+        ptr = 1
         for k in range(n_steps):
             x = _em_advance(spec, x, times[k], times[k + 1] - times[k], rng)
-            if ptr < len(cols) and cols[ptr] == k + 1:
+            if cols[ptr] == k + 1:
                 rec[:, :, ptr] = x
                 ptr += 1
         blocks.append(rec)

@@ -69,13 +69,18 @@ def psi_hat(u1, u2):
     fold = d < r2 * u1                  # then the reflected point has the wider gap
     w1, w2 = np.where(fold, m1, u1), np.where(fold, m2, u2)
     n1, n2 = np.where(fold, u1, m1), np.where(fold, u2, m2)
-    xi, wi = _gl_nodes(24)
-    xi = xi.reshape((-1,) + (1,) * w1.ndim)
+    xi, wi = (g.reshape((-1,) + (1,) * w1.ndim) for g in _gl_nodes(24))
 
     def panel(inner, a, b):
         half = 0.5 * (b - a)
         v = a + half * (xi + 1.0)
-        return half * np.tensordot(wi, np.exp(-v ** 2) * inner(v), axes=(0, 0))
+        terms = wi * (np.exp(-v ** 2) * inner(v))
+        # added node by node, so every entry sums in the same order wherever
+        # it sits in the array (a BLAS contraction need not)
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return half * total
 
     # int_a^b e^{-(v1-v2)^2} dv2 = (sqrt(pi)/2) [erf(v1-a) - erf(v1-b)]
     dw, dn, sn = w2 - w1, n2 - n1, n1 + n2
@@ -220,31 +225,17 @@ def mehta_integral_quadrature(n, gamma, a, weight="plain"):
     from .quadrature import chamber_integral
 
     if weight == "plain":
-        sig = math.sqrt(1.0 / (2 * a))
-
         def f(u):
-            diffs = np.ones(u.shape[:-1])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    diffs = diffs * np.abs(u[..., j] - u[..., i]) ** (2 * gamma)
-            return np.exp(-a * np.sum(u ** 2, axis=-1)) * diffs
+            return np.exp(-a * np.sum(u ** 2, axis=-1)) * np.abs(h_poly(u)) ** (2 * gamma)
 
-        lo, hi = -9.0 * sig, 9.0 * sig
-    elif weight == "squared-diff-abs":
+        cut = 9.0 * math.sqrt(1.0 / (2 * a))
+        return chamber_integral(f, n, -cut, cut) * math.factorial(n)
+    if weight == "squared-diff-abs":
         def f(u):
-            val = np.exp(-0.5 * np.sum(u ** 2, axis=-1))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    val = val * np.abs(u[..., j] ** 2 - u[..., i] ** 2) ** (2 * gamma)
-            val = val * np.prod(np.abs(u) ** (2 * a - 1), axis=-1)
-            return val
+            return (np.exp(-0.5 * np.sum(u ** 2, axis=-1)) * np.abs(h_poly(u ** 2)) ** (2 * gamma)
+                    * np.prod(np.abs(u) ** (2 * a - 1), axis=-1))
 
-        # integrand is symmetric under u -> -u coordinatewise; restrict to the
-        # positive ordered sector and multiply by 2^n n!
-        val = chamber_integral(f, n, 0.0, 9.0)
-        return val * math.factorial(n) * 2 ** n
-    else:
-        raise ValueError("unknown weight %r" % (weight,))
-
-    val = chamber_integral(f, n, lo, hi)
-    return val * math.factorial(n)
+        # the integrand is even in each coordinate: integrate over the positive
+        # ordered sector and multiply by 2^n n!
+        return chamber_integral(f, n, 0.0, 9.0) * math.factorial(n) * 2 ** n
+    raise ValueError("unknown weight %r" % (weight,))

@@ -144,6 +144,16 @@ def test_lattice_time_must_be_a_step_count(argv, capsys):
     (["survival", "--at", "1,0", "--time", "1"], "--at"),
     (["density", "--at", "0.5,0.1", "--time", "0.5"], "--at"),
     (["density", "--at", "0.5,0.1", "--time", "0.5", "--horizon", "1"], "--at"),
+    (["density", "--at=-0.5,0.1", "--time", "0.5", "--wall"], "--at"),
+    (["survival", "--at=-0.5,0.1", "--wall"], "--at"),
+    (["survive", "--start=-2,0", "--wall", "--time", "2"], "--start"),
+    (["count", "--start=-2,0", "--end", "0,2", "--wall", "--time", "2"], "--start"),
+    (["simulate", "--start=-2,0", "--wall", "--samples", "3"], "--start"),
+    (["simulate", "--model", "sde-p", "--at", "0,1", "--wall", "--samples", "3"], "--at"),
+    (["density", "--at", "0.1,0.5", "--time", "-1"], "--time"),
+    (["density", "--at", "0.1,0.5", "--time", "2", "--horizon", "1"], "--time"),
+    (["density", "--at", "0.1,0.5", "--time", "0.5", "--horizon", "-1"], "--horizon"),
+    (["survival", "--at", "0,1", "--time", "-1"], "--time"),
 ])
 def test_bad_outside_input_names_the_flag(argv, flag, capsys):
     # not a library traceback with exit 1, nor (an unordered --at) the density at

@@ -184,7 +184,23 @@ def test_drift_batch_matches_pointwise():
         xs += np.arange(n) * 0.3
         batch = drift_batch(spec, 0.5, xs)
         for row, b in zip(xs, batch):
-            np.testing.assert_allclose(b, drift(spec, 0.5, row), rtol=1e-4, atol=1e-6)
+            np.testing.assert_array_equal(b, drift(spec, 0.5, row))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wall_kernel_does_not_depend_on_batch_size(n):
+    # a configuration gets the same bits alone, in a short batch or in a long one
+    rng = np.random.Generator(np.random.Philox(key=[15, n]))
+    xs = np.sort(rng.random((60, n)) * 2.5 + 0.05, axis=1) + np.arange(n) * 0.2
+    spec = ModelSpec(n, horizon=2.0, wall=True)
+    surv = survival_batch(0.7, xs, wall=True)
+    b = drift_batch(spec, 0.5, xs)
+    for size in range(1, 9):
+        for k in range(0, len(xs), size):
+            np.testing.assert_array_equal(survival_batch(0.7, xs[k:k + size], wall=True),
+                                          surv[k:k + size])
+            np.testing.assert_array_equal(drift_batch(spec, 0.5, xs[k:k + size]), b[k:k + size])
+    np.testing.assert_array_equal([survival(0.7, x, wall=True) for x in xs], surv)
 
 
 def _richardson_grad_log(fun, xs, h=1e-3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viciouskit.linalg import pfaffian, symmetric_eigenvalues
+from viciouskit.linalg import pfaffian
 
 # frozen upper triangle of a 6x6 skew matrix and the Pfaffian of its
 # 15-term perfect-matching expansion, computed independently
@@ -88,12 +88,3 @@ def test_pfaffian_batch_shapes_leave_input_untouched():
     np.testing.assert_allclose(pfaffian(np.swapaxes(stack, -1, -2)[::2]), -out[::2],
                                rtol=1e-12)
     np.testing.assert_array_equal(stack, before)
-
-
-def test_symmetric_eigenvalues_sorted_and_checked():
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(symmetric_eigenvalues(m), [1.0, 3.0])
-    herm = np.array([[1.0, 1j], [-1j, 1.0]])
-    np.testing.assert_allclose(symmetric_eigenvalues(herm), [0.0, 2.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
