@@ -294,7 +294,7 @@ def build_parser():
 
 
 def _input_error(args):
-    """An argparse message for a start behind --wall or a time out of range, else None."""
+    """An argparse message naming the flag of input the library would reject, else None."""
     if getattr(args, "wall", False):
         for flag in ("start", "at"):
             x = getattr(args, flag, None)
@@ -306,6 +306,25 @@ def _input_error(args):
         return "argument --time: must lie in (0, horizon = %r], got %r" % (args.horizon, args.time)
     if args.command == "survival" and not args.time >= 0:
         return "argument --time: must be nonnegative, got %r" % args.time
+    if args.command == "count" and len(args.end) != len(args.start):
+        return "argument --end: needs %d positions, as --start has, got %s" % (
+            len(args.start), args.end)
+    if args.command == "simulate":
+        for flag in ("start", "at"):
+            x = getattr(args, flag)
+            if x and len(x) != args.n:
+                return "argument --%s: needs --n = %d positions, got %s" % (flag, args.n, x)
+        if args.model != "sde-p" and math.isinf(args.horizon):
+            return "argument --horizon: --model %s needs a finite horizon" % args.model
+        if args.model != "walker" and args.time is not None:
+            from .montecarlo import HORIZON_GUARD
+
+            horizon = args.horizon if args.model == "sde-g" else math.inf
+            lo = 0.0 if args.at else min(1e-3 * horizon, args.step)   # simulate_sde's t0
+            hi = horizon * (1.0 - HORIZON_GUARD)
+            if not (lo < args.time <= hi and math.isfinite(args.time)):
+                return ("argument --time: must be finite and in (%r, %r] for --model %s, "
+                        "got %r" % (lo, hi, args.model, args.time))
     return None
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import LatticeConfig, time_lattice
-from .densities import ModelSpec, drift_batch, survival_batch
-from .special_functions import _small_gap_survival
+from .densities import ModelSpec, drift_batch
 
 __all__ = [
     "SimConfig",
@@ -233,10 +232,12 @@ def simulate_walkers(cfg):
 # ---------------------------------------------------------------------------
 # Exact origin-law samplers (warm starts)
 #
-# The two-matrix builder also serves rmt.sample_ensemble.
+# One two-matrix builder draws every origin law, free or behind the wall, at
+# any horizon: one eigensolve per draw and no rejection.  It also serves
+# rmt.sample_ensemble.
 
 
-def _two_matrix_spectra(rng, n, gue_var, goe_var, draws):
+def _two_matrix_spectra(rng, n, gue_var, goe_var, draws, wall=False):
     """Ascending spectra of GUE(gue_var) + GOE(goe_var), draws of them.
 
     Under the trace weight exp{-Tr H^2 / (2 sigma^2)} the real symmetric
@@ -244,101 +245,46 @@ def _two_matrix_spectra(rng, n, gue_var, goe_var, draws):
     Hermitian part has real and imaginary off-diagonal parts of variance
     sigma^2/2 each.  The GUE part is drawn first; a zero variance draws
     nothing, so GOE alone takes the real eigensolver.
+
+    wall=True draws the class C matrix H = [[A, B], [B^H, -A^T]] of size 2n
+    (Altland-Zirnbauer), A Hermitian and B complex symmetric, under
+    exp{-Tr H^2 / (4 sigma^2)}, with the same variances as above: real parts
+    gue_var + goe_var, imaginary parts gue_var.  Its n positive eigenvalues
+    are returned.  Without imaginary part it is class CI.
     """
+    blocks = 2 if wall else 1
+    size = (draws, blocks, n, n)
+    # A = (g + g^H)/2 and B = (g + g^T)/2: the transpose flips the sign of
+    # the imaginary part in A only
+    conj = np.array([-1.0, 1.0][:blocks])[:, None, None]
     mats = 0.0
     if gue_var > 0:
-        x = rng.normal(scale=math.sqrt(gue_var), size=(draws, n, n))
-        g = x + 1j * rng.normal(scale=math.sqrt(gue_var), size=(draws, n, n))
-        mats = mats + (g + np.conj(np.swapaxes(g, 1, 2))) / 2.0
+        x = rng.normal(scale=math.sqrt(gue_var), size=size)
+        y = rng.normal(scale=math.sqrt(gue_var), size=size)
+        mats = mats + (x + 1j * y + np.swapaxes(x + 1j * (conj * y), 2, 3)) / 2.0
     if goe_var > 0:
-        g = rng.normal(scale=math.sqrt(goe_var), size=(draws, n, n))
-        mats = mats + (g + np.swapaxes(g, 1, 2)) / 2.0
-    return np.linalg.eigvalsh(mats)
-
-
-def _antisym_spectra(rng, n, variance, draws):
-    """Positive spectra of odd antisymmetric Gaussian matrices.
-
-    For A real antisymmetric of size 2n+1 with independent N(0, sigma^2)
-    upper entries, the nonzero eigenvalues of iA come in pairs +-y with the
-    positive half distributed as exp(-|y|^2/2sigma^2) prod y_i^2
-    prod (y_j^2 - y_i^2)^2 on the ordered half-chamber -- exactly the
-    wall h-transform origin law at time sigma^2.
-    """
-    dim = 2 * n + 1
-    g = rng.normal(scale=math.sqrt(variance), size=(draws, dim, dim))
-    a = np.triu(g, k=1)
-    a = a - np.swapaxes(a, 1, 2)
-    eig = np.linalg.eigvalsh(1j * a)
-    return eig[:, n + 1:]           # the n positive eigenvalues, ascending
-
-
-def _wishart_sqrt_spectra(rng, n, variance, draws):
-    """Ordered y with density proportional to exp(-|y|^2/2sigma^2) h_hat(y).
-
-    y_i = sigma * sqrt(lambda_i) with lambda the spectrum of G G^T for G a
-    real n x (n+1) standard Gaussian; that spectrum has density
-    proportional to exp(-sum lambda/2) prod (lambda_j - lambda_i).
-    """
-    g = rng.normal(size=(draws, n, n + 1))
-    lam = np.linalg.eigvalsh(g @ np.swapaxes(g, 1, 2))
-    return math.sqrt(variance) * np.sqrt(np.clip(lam, 0.0, None))
-
-
-def _rejection_fill(propose, accept_prob, rng, samples, n):
-    out = np.empty((samples, n))
-    got = 0
-    rounds_left = 500
-    while got < samples:
-        rounds_left -= 1
-        if rounds_left < 0:
-            raise RuntimeError("origin-law rejection sampler stalled")
-        draw = max(2 * (samples - got), 1024)
-        y = propose(draw)
-        keep = rng.random(draw) < accept_prob(y)
-        y = y[keep]
-        take = min(len(y), samples - got)
-        out[got:got + take] = y[:take]
-        got += take
-    return out
+        g = rng.normal(scale=math.sqrt(goe_var), size=size)
+        mats = mats + (g + np.swapaxes(g, 2, 3)) / 2.0
+    if not wall:
+        return np.linalg.eigvalsh(mats[:, 0])
+    a, b = mats[:, 0], mats[:, 1]
+    h = np.block([[a, b], [np.conj(np.swapaxes(b, 1, 2)), -np.swapaxes(a, 1, 2)]])
+    return np.linalg.eigvalsh(h)[:, n:]
 
 
 def sample_origin_law(spec, t, samples, rng):
     """Exact draws from the origin-start transition density at time t.
 
-    Free walkers, any horizon: the two-matrix model GUE(t (T-t)/T) +
-    GOE(t^2/T), one eigensolve per draw and no rejection (GUE(t) at
-    T = inf, GOE(T) at t = T).  Wall p-family: odd antisymmetric spectra.
-    Wall finite horizon: an h-transform proposal thinned by the
-    non-collision probability of the remaining window, a valid acceptance
-    probability (at most one), so the draws are exact, not approximate.
+    One two-matrix spectrum per draw, no rejection, at any horizon: real
+    parts of variance t, imaginary parts of variance t (T-t)/T.  Free
+    walkers: GUE(t (T-t)/T) + GOE(t^2/T), so GUE(t) at T = inf and GOE(T) at
+    t = T.  Behind the wall: the positive half of the class C spectrum, so
+    class C(t) at T = inf and class CI(T) at t = T.
     """
-    n, T, wall = spec.n_walkers, spec.horizon, spec.wall
-    if not (0 < t <= T):
+    if not (0 < t <= spec.horizon):
         raise ValueError("need 0 < t <= horizon")
-    if not wall:
-        return _two_matrix_spectra(rng, n, t * (1 - t / T), t * t / T, samples)
-    if math.isinf(T):
-        return _antisym_spectra(rng, n, t, samples)
-    tau = T - t
-    if t > T / 2:
-        # proposal already weighted by one h_hat factor; thinning by the
-        # non-collision probability (<= 1) of the remaining window is exact
-        propose = lambda k: _wishart_sqrt_spectra(rng, n, t, k)
-        accept = lambda y: survival_batch(tau, y, True)
-        return _rejection_fill(propose, accept, rng, samples, n)
-    # short-time branch: the h_hat^2-weighted proposal cancels the vanishing
-    # survival factor; accept with survival / small-gap prediction, which
-    # stays below the 1.05 envelope (asserted per batch, never clipped)
-    envelope = 1.05
-
-    def accept(y):
-        ratio = survival_batch(tau, y, True) / _small_gap_survival(y / math.sqrt(tau), True)
-        if np.any(ratio > envelope):
-            raise RuntimeError("survival exceeded its small-gap envelope")
-        return ratio / envelope
-
-    return _rejection_fill(lambda k: _antisym_spectra(rng, n, t, k), accept, rng, samples, n)
+    return _two_matrix_spectra(rng, spec.n_walkers, t * (1 - t / spec.horizon),
+                               t * t / spec.horizon, samples, spec.wall)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +330,7 @@ def simulate_sde(cfg):
             raise ValueError("g-family end time must stay below the horizon guard")
     else:
         t_end = cfg.t_end if cfg.t_end is not None else 1.0
-    if cfg.start is None:
-        t0 = min(1e-3 * T, cfg.step) if math.isfinite(T) else cfg.step
-    else:
-        t0 = 0.0
+    t0 = min(1e-3 * T, cfg.step) if cfg.start is None else 0.0
     if t_end <= t0:
         raise ValueError("end time must exceed the warm-start time")
 

@@ -41,7 +41,7 @@ def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
     sigma^2/2 each.  kind="PM" draws the matrix convolution
     GUE(2 alpha^2 v^2) + GOE(2 (1-alpha^2) v^2), v^2 = 1/(2 (1+alpha^2)).
     Every kind is one (GUE, GOE) variance pair of the two-matrix builder
-    that also gives montecarlo.sample_origin_law its free draws.
+    that also gives montecarlo.sample_origin_law its draws.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")

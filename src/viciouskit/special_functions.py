@@ -149,25 +149,21 @@ class ModelConstants:
 
 
 def constants(n):
-    """All six model normalization constants for n walkers."""
+    """All six model normalization constants for n walkers.
+
+    Each origin-law normalization is a Mehta integral M (mehta_integral):
+    c = n!/M_plain(n, 1/2, 1/2), c' = n!/M_plain(n, 1, 1/2),
+    c_hat = 2^n n!/M_sq(n, 1/2, 1) and c_hat' = 2^n n!/M_sq(n, 1, 3/2).
+    """
     if n < 1:
         raise ValueError("need at least one walker")
-    lg_half = sum(math.lgamma(j / 2.0) for j in range(1, n + 1))
-    lg_int = sum(math.lgamma(j) for j in range(1, n + 1))
-    lg_2int = sum(math.lgamma(2 * j) for j in range(1, n + 1))
-    c = math.exp(-0.5 * n * math.log(2) - lg_half)
-    c_prime = math.exp(-0.5 * n * math.log(2 * math.pi) - lg_int)
-    c_hat = math.exp(-lg_int)
-    c_hat_prime = math.exp(0.5 * n * math.log(2 / math.pi) - lg_2int)
-    return ModelConstants(
-        n_walkers=n,
-        c=c,
-        c_prime=c_prime,
-        c_bar=c / c_prime,
-        c_hat=c_hat,
-        c_hat_prime=c_hat_prime,
-        c_tilde=c_hat / c_hat_prime,
-    )
+    nf = math.factorial(n)
+    c = nf / mehta_integral(n, 0.5, 0.5)
+    c_prime = nf / mehta_integral(n, 1.0, 0.5)
+    c_hat = 2 ** n * nf / mehta_integral(n, 0.5, 1.0, "squared-diff-abs")
+    c_hat_prime = 2 ** n * nf / mehta_integral(n, 1.0, 1.5, "squared-diff-abs")
+    return ModelConstants(n_walkers=n, c=c, c_prime=c_prime, c_bar=c / c_prime, c_hat=c_hat,
+                          c_hat_prime=c_hat_prime, c_tilde=c_hat / c_hat_prime)
 
 
 def _small_gap_survival(u, wall):

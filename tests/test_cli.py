@@ -154,6 +154,16 @@ def test_lattice_time_must_be_a_step_count(argv, capsys):
     (["density", "--at", "0.1,0.5", "--time", "2", "--horizon", "1"], "--time"),
     (["density", "--at", "0.1,0.5", "--time", "0.5", "--horizon", "-1"], "--horizon"),
     (["survival", "--at", "0,1", "--time", "-1"], "--time"),
+    (["simulate", "--n", "3", "--start", "0,2", "--samples", "3"], "--start"),
+    (["simulate", "--model", "sde-p", "--n", "3", "--at", "0.1,0.5", "--samples", "3"], "--at"),
+    (["simulate", "--horizon", "inf", "--samples", "3"], "--horizon"),
+    (["simulate", "--model", "sde-g", "--horizon", "inf", "--samples", "3"], "--horizon"),
+    (["simulate", "--model", "sde-g", "--time", "5", "--horizon", "1", "--samples", "3"],
+     "--time"),
+    (["simulate", "--model", "sde-p", "--time", "-1", "--samples", "3"], "--time"),
+    (["simulate", "--model", "sde-p", "--time", "5e-4", "--samples", "3"], "--time"),
+    (["simulate", "--model", "sde-p", "--time", "inf", "--samples", "3"], "--time"),
+    (["count", "--start", "0,2", "--end", "0"], "--end"),
 ])
 def test_bad_outside_input_names_the_flag(argv, flag, capsys):
     # not a library traceback with exit 1, nor (an unordered --at) the density at

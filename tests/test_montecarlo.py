@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
-from viciouskit.densities import ModelSpec, g_density, survival, survival_batch
+from viciouskit.densities import ModelSpec, g_density, p_density, survival, survival_batch
 from viciouskit.harness import ks_test, ks_two_sample, marginal_cdf
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
                                    _two_matrix_spectra, endpoint_values, noncollision_mc,
@@ -176,9 +176,8 @@ def test_origin_law_wall_single_walker_is_bessel_law():
 
 @pytest.mark.parametrize("wall", [False, True])
 def test_origin_law_finite_horizon_branches_agree(wall):
-    # the law is continuous in t across T/2, where the wall sampler switches
-    # from its short-time (envelope) to its long-time (thinning) branch;
-    # free draws are one two-matrix spectrum on both sides
+    # the origin law is continuous in t: draws at t = 0.499 and t = 0.501,
+    # each one two-matrix spectrum (class C behind the wall), must agree
     spec = ModelSpec(2, horizon=1.0, wall=wall)
     rng1 = np.random.Generator(np.random.Philox(key=[4, 0]))
     rng2 = np.random.Generator(np.random.Philox(key=[5, 0]))
@@ -190,12 +189,13 @@ def test_origin_law_finite_horizon_branches_agree(wall):
         assert d < 2.0 * 1.63 * math.sqrt(2 / 4000)
 
 
-def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80):
-    dens = lambda pts: g_density(spec, 0.0, None, t, pts)
+def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80, max_drift=1e-6):
+    law = g_density if math.isfinite(spec.horizon) else p_density
+    dens = lambda pts: law(spec, 0.0, None, t, pts)
     reports = []
     for k in range(spec.n_walkers):
         cdf, drift = marginal_cdf(dens, spec.n_walkers, k, lo, hi, order=order)
-        assert drift < 1e-6
+        assert drift < max_drift
         reports.append(ks_test(y[:, k], cdf, level=level))
     return reports
 
@@ -214,12 +214,71 @@ def test_free_origin_law_matches_g_density(n, t, order):
 
 @pytest.mark.parametrize("t", [0.25, 0.75])
 def test_wall_origin_law_matches_g_density(t):
-    # t = 0.25 takes the short-time (envelope) branch, t = 0.75 the thinning
-    # branch; Bonferroni over the 4 coordinates of the 2 cases
+    # class C draws before and after T/2 against the quadrature marginals of
+    # the origin-start finite-horizon density; Bonferroni over the 4
+    # coordinates of the 2 cases
     spec = ModelSpec(2, horizon=1.0, wall=True)
     y = sample_origin_law(spec, t, 20_000, _philox(31, int(100 * t)))
     for rep in _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, 0.01 / 4):
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t, T", [(0.3, 1.0), (1.0, 1.0), (0.7, math.inf)])
+def test_wall_origin_law_matches_density(n, t, T):
+    # class C draws, class CI at t = T, against the quadrature marginals of
+    # the origin-start g density (p density at T = inf); Bonferroni over the
+    # 18 coordinates of the 9 cases.  At t = T the density has a nonzero
+    # slope at the wall, so the 400-point trapezoid normalization is off by
+    # about n * 4e-5; the table is renormalized, so the CDF moves far less
+    # than the KS critical value
+    spec = ModelSpec(n, horizon=T, wall=True)
+    y = sample_origin_law(spec, t, 20_000, _philox(50 + n, int(10 * t)))
+    reports = _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, 0.01 / 18,
+                                  order=80 if n < 3 else 20,
+                                  max_drift=1e-6 if t < T else 2e-4)
+    for rep in reports:
+        assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
+
+
+def test_wall_origin_law_n4_matches_thinned_class_ci():
+    # reference: class CI draws at horizon t, law exp(-|y|^2/2t) h_hat(y),
+    # kept with probability survival(T - t, y); that is the wall g law at t
+    # exactly, and about 10% are kept.  Bonferroni over the 4 coordinates
+    n, T, t = 4, 1.0, 0.75
+    prop = sample_origin_law(ModelSpec(n, horizon=t, wall=True), t, 50_000, _philox(43, 0))
+    keep = _philox(44, 0).random(len(prop)) < survival_batch(T - t, prop, True)
+    ref = prop[keep]
+    y = sample_origin_law(ModelSpec(n, horizon=T, wall=True), t, 5000, _philox(45, 0))
+    for k in range(n):
+        rep = ks_two_sample(y[:, k], ref[:, k], level=0.01 / 4)
+        assert rep.verdict == "pass", (k, rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("n, t", [(5, 0.5), (6, 0.6)])
+def test_wall_origin_law_has_no_acceptance_to_collapse(n, t):
+    # large N near T/2: every requested draw comes back, with no acceptance rate
+    y = sample_origin_law(ModelSpec(n, horizon=1.0, wall=True), t, 200, _philox(46, n))
+    assert y.shape == (200, n)
+    assert np.all(y[:, 0] > 0) and np.all(np.diff(y, axis=1) > 0)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("t, T", [(0.5, 1.0), (1.0, 1.0), (0.5, math.inf)])
+def test_origin_law_is_one_eigensolve_per_draw(wall, t, T, monkeypatch):
+    # no rejection: one matrix per requested draw, real at t = T (GOE or
+    # class CI), complex otherwise
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append((math.prod(a.shape[:-2]), np.iscomplexobj(a)))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    y = sample_origin_law(ModelSpec(3, horizon=T, wall=wall), t, 300, _philox(47, 0))
+    assert y.shape == (300, 3)
+    assert solved == [(300, t < T)]
 
 
 @pytest.mark.parametrize("t", [0.5, 0.75])

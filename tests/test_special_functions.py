@@ -121,6 +121,21 @@ def test_constants_frozen_values():
         / (math.gamma(0.5) * math.gamma(1.0) * math.gamma(1.5)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constants_match_gamma_products(n):
+    # the Mehta-integral normalizations against their gamma-function products
+    lg_half = sum(math.lgamma(j / 2) for j in range(1, n + 1))
+    lg_int = sum(math.lgamma(j) for j in range(1, n + 1))
+    lg_2int = sum(math.lgamma(2 * j) for j in range(1, n + 1))
+    ref = {"c": math.exp(-0.5 * n * math.log(2) - lg_half),
+           "c_prime": math.exp(-0.5 * n * math.log(2 * math.pi) - lg_int),
+           "c_hat": math.exp(-lg_int),
+           "c_hat_prime": math.exp(0.5 * n * math.log(2 / math.pi) - lg_2int)}
+    consts = constants(n)
+    for name, value in ref.items():
+        assert getattr(consts, name) == pytest.approx(value, rel=1e-14, abs=0), name
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("weight", ["plain", "squared-diff-abs"])
 def test_mehta_integrals_match_quadrature(n, weight):
