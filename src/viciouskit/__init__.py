@@ -10,8 +10,8 @@ simulation, random-matrix endpoint laws, and a verification harness.
 from .combinatorics import (LatticeConfig, WalkCount, count_paths, oracle_count_dp,
                             scaled_survival, survival_probability, time_lattice,
                             walk_probability)
-from .densities import (ModelSpec, de_bruijn_check, drift, drift_batch, g_density,
-                        imhof_check, km_density, p_density, survival,
+from .densities import (ModelSpec, coordinate_cdf, de_bruijn_check, drift, drift_batch,
+                        g_density, imhof_check, km_density, p_density, survival,
                         survival_asymptotics, survival_batch)
 from .harness import (StatReport, ks_test, ks_two_sample, marginal_cdf, marginalize,
                       verify_suite)

@@ -316,6 +316,12 @@ def _input_error(args):
                 return "argument --%s: needs --n = %d positions, got %s" % (flag, args.n, x)
         if args.model != "sde-p" and math.isinf(args.horizon):
             return "argument --horizon: --model %s needs a finite horizon" % args.model
+        if args.model == "walker":
+            from .combinatorics import time_lattice
+
+            if time_lattice(args.scale, args.horizon) < 1:
+                return ("argument --horizon: gives zero lattice steps at --scale %d; "
+                        "need scale^2 * horizon >= 2, got %r" % (args.scale, args.horizon))
         if args.model != "walker" and args.time is not None:
             from .montecarlo import HORIZON_GUARD
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .quadrature import chamber_integral
-from .special_functions import (_psi_hat_grad, _small_gap_survival, constants, h_hat_poly,
-                                h_poly, psi, psi_hat)
+from .quadrature import SLAB_POINTS, chamber_integral
+from .special_functions import (_gl_nodes, _psi_hat_grad, _small_gap_survival, constants,
+                                h_hat_poly, h_poly, psi, psi_hat)
 
 __all__ = [
     "ModelSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "survival_batch",
     "g_density",
     "p_density",
+    "coordinate_cdf",
     "drift",
     "drift_batch",
     "imhof_check",
@@ -222,6 +223,170 @@ def p_density(spec, s, x, t, y):
     x = _check_chamber(x, wall)
     val = km_density(t - s, x, y, wall) * hfun(y) / hfun(x)
     return float(val) if np.ndim(val) == 0 else val
+
+
+# ---------------------------------------------------------------------------
+# Coordinate laws of the origin-start endpoint ensembles
+
+COORDINATE_ORDER = 8      # Gauss-Legendre nodes per panel of coordinate_cdf's integrals
+COORDINATE_PANEL = 0.25   # widest panel, in units of sqrt(t)
+
+
+def _hermite_basis(n, wall, beta, x):
+    """The basis P_i, i < n, of coordinate_cdf at x, and for beta = 1 its antiderivatives.
+
+    P_i are the Hermite polynomials h_k(x sqrt(2/beta)) orthonormal under
+    e^{-x^2/beta}, k = i on the line and k = 2i + 1 behind the wall (odd
+    functions restricted to the half-line).  For beta = 2 they are
+    orthonormal under the law's weight e^{-x^2/2}, up to the constant
+    sqrt(2 pi) (free) or sqrt(pi/2) (wall).  For beta = 1 the weight is the
+    square of the law's, which keeps the de Bruijn matrix well conditioned
+    at every N, and Phi_i(x) = int_lo^x P_i(v) e^{-v^2/2} dv follows from
+    H_k e^{-x^2/2} = 2(k-1) H_{k-2} e^{-x^2/2} - 2 (H_{k-1} e^{-x^2/2})'
+    (physicists' H_k), with lo = 0 behind the wall and -inf free.
+    Returns (P, Phi), each of shape x.shape + (n,); Phi is None for beta = 2.
+    """
+    x = np.asarray(x, dtype=float)
+    d = 2 * n if wall else n
+    z = x * math.sqrt(2 / beta)
+    h = np.empty(x.shape + (d,))
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    for k in range(d):
+        if k:
+            prev, cur = cur, (z * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+        h[..., k] = cur
+    picked = slice(1, None, 2) if wall else slice(None)
+    if beta == 2:
+        return h[..., picked], None
+    gauss = np.exp(-x * x / 2)
+    anti = np.zeros(h.shape)
+    edge = np.zeros(d)          # h_k(0) e^0 at the wall, nothing at -inf
+    if wall:
+        edge[0] = 1.0
+        for k in range(2, d, 2):
+            edge[k] = -math.sqrt((k - 1) / k) * edge[k - 2]
+    else:
+        anti[..., 0] = math.sqrt(math.pi / 2) * (1 + psi(x / math.sqrt(2)))
+    # behind the wall the even entries are not used, and their recursion
+    # starts from a placeholder 0
+    for k in range(1, d):
+        below = math.sqrt((k - 1) / k) * anti[..., k - 2] if k > 1 else 0.0
+        anti[..., k] = below - math.sqrt(2 / k) * (h[..., k - 1] * gauss - edge[k - 1])
+    return h[..., picked], anti[..., picked]
+
+
+def _bordered(a, b):
+    """Skew matrices a, (..., n, n), bordered by the column b and the row -b."""
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n] = a
+    out[..., :n, n] = b
+    out[..., n, :n] = -b
+    return out
+
+
+def coordinate_cdf(spec, t, s):
+    """P(y_k <= s) for every coordinate k of the origin-start law at time t.
+
+    Covers the p family at any t > 0 and the g family at t = horizon, free
+    and behind the wall: GUE(t), GOE(T), class C(t) and class CI(T).  The
+    result has shape s.shape + (N,), coordinates ascending.  The g family at
+    0 < t < horizon raises ValueError.
+
+    In x = y / sqrt(t) each law is a determinant in the basis P_i of
+    _hermite_basis: det[P_i(x_j)]^2 e^{-|x|^2/2} (beta = 2, p family) or
+    det[P_i(x_j)] e^{-|x|^2/2} (beta = 1, g family at T).  Weighting each
+    coordinate by w_c = 1{x <= s} + c 1{x > s} makes the chamber integral a
+    polynomial in c whose coefficient of c^m is P(exactly m coordinates
+    above s):
+
+    * beta = 2, Andreief: det(I - B + c B), B = int_s^inf P_i P_j e^{-x^2/2},
+      so m is a sum of independent Bernoullis whose means are the
+      eigenvalues of B (Poisson-binomial recursion);
+    * beta = 1, de Bruijn: Pf(L + c X + c^2 R), with K_ij = int_{<=s}
+      phi_i Phi_j (phi_i = P_i e^{-x^2/2}), L = K^T - K, the cross block
+      X = Phi(s) Phi(inf)^T - Phi(inf) Phi(s)^T and R the rest of the full
+      matrix; odd N is bordered by Phi(s) + c (Phi(inf) - Phi(s)).  The
+      Pfaffian is taken at the N + 1 Chebyshev points c = cos(pi j / N),
+      of which c = 1 is the normalization, and the coefficients solved for.
+
+    The integrals run over [0, s] behind the wall and [-reach, -|s|] free,
+    reach = sqrt(8N) + 8, past which no law has mass float64 can see; the
+    free laws are symmetric under x -> -x, which reverses the coordinates,
+    so P(x_k <= s) = 1 - P(x_(N-1-k) <= -s) covers s > 0.  They are prefix
+    sums of COORDINATE_ORDER-node Gauss-Legendre panels cut at every s and
+    at most COORDINATE_PANEL wide.  Against direct chamber quadrature the
+    values agree to 1e-13 at N <= 3, and they stay monotone in s to 1e-13
+    at N <= 8 for both beta.  s is taken in blocks of at most
+    SLAB_POINTS / N^3 values, so memory stays bounded.
+    """
+    n, wall = spec.n_walkers, spec.wall
+    beta = 1 if math.isfinite(spec.horizon) else 2
+    if not t > 0:
+        raise ValueError("need t > 0")
+    if beta == 1 and t != spec.horizon:
+        raise ValueError("the finite-horizon coordinate law is exact only at t = horizon; "
+                         "0 < t < horizon needs the two-dimensional kernel")
+    s = np.asarray(s, dtype=float)
+    rows = max(SLAB_POINTS // n ** 3, 1)
+    if s.size > rows:
+        blocks = np.array_split(s.ravel(), -(-s.size // rows))
+        return np.concatenate([coordinate_cdf(spec, t, b) for b in blocks]).reshape(s.shape + (n,))
+    reach = math.sqrt(8 * n) + 8.0
+    x = np.clip(s.ravel() / math.sqrt(t), -reach, reach)
+    # the last end covers the whole half-line behind the wall, the negative one free
+    ends = np.append(np.maximum(x, 0.0), reach) if wall else np.append(-np.abs(x), 0.0)
+    lo = 0.0 if wall else -reach
+    # int_lo^e for every end e: prefix sums over Gauss-Legendre panels cut at
+    # the ends and on a grid of spacing COORDINATE_PANEL
+    cuts = np.union1d(ends, np.arange(lo, ends[-1], COORDINATE_PANEL))
+    left = np.append(lo, cuts[:-1])
+    nodes, weights = _gl_nodes(COORDINATE_ORDER)
+    half = (cuts - left)[:, None] / 2
+    q = left[:, None] + half * (nodes + 1)
+    p, anti = _hermite_basis(n, wall, beta, q)
+    wq = np.swapaxes((half * weights * np.exp(-q * q / 2))[..., None] * p, 1, 2)
+    at_ends = np.searchsorted(cuts, ends)
+    if beta == 2:
+        # the basis is orthonormal, so B = I - int_lo^s
+        gram = np.cumsum(wq @ p, axis=0)[at_ends[:-1]]
+        norm = math.sqrt(math.pi / 2 if wall else 2 * math.pi)
+        lam = np.clip(np.linalg.eigvalsh(np.eye(n) - gram / norm), 0.0, 1.0)
+        above = np.zeros((len(x), n + 1))
+        above[:, 0] = 1.0
+        for i in range(n):
+            l = lam[:, i:i + 1]
+            above[:, 1:] = above[:, 1:] * (1 - l) + above[:, :-1] * l
+            above[:, 0] *= 1 - l[:, 0]
+    else:
+        k = np.cumsum(wq @ anti, axis=0)[at_ends]       # int_lo^s phi_i Phi_j
+        at = _hermite_basis(n, wall, beta, np.append(ends, reach))[1]
+        at_inf = at[-1]
+        if not wall:
+            # phi_i(-x) = (-1)^i phi_i(x): int_0^inf phi_i Phi_j
+            # = (-1)^(i+j) (Phi_i(0) Phi_j(inf) - K_ij(0))
+            parity = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+            k[-1] += parity * (np.outer(at[-2], at_inf) - k[-1])
+        full, low = k[-1].T - k[-1], np.swapaxes(k[:-1], 1, 2) - k[:-1]
+        at = at[:-2]
+        cross = at[:, :, None] * at_inf - at_inf[:, None] * at[:, None, :]
+        # Chebyshev nodes of the second kind; c = 1 is the normalization itself
+        c = np.cos(np.pi * np.arange(n + 1) / n)
+        mats = (low[:, None] + c[1:, None, None] * cross[:, None]
+                + (c[1:] ** 2)[:, None, None] * (full - low - cross)[:, None])
+        if n % 2:
+            full = _bordered(full, at_inf)
+            mats = _bordered(mats, at[:, None] + c[1:, None] * (at_inf - at)[:, None])
+        vals = np.ones((len(x), n + 1))
+        vals[:, 1:] = linalg.pfaffian(mats) / linalg.pfaffian(full)
+        above = np.linalg.solve(np.vander(c, increasing=True), vals.T).T
+    cdf = np.cumsum(above, axis=-1)[:, n - 1::-1]
+    if wall:
+        cdf[x <= 0] = 0.0
+    else:
+        flip = x > 0
+        cdf[flip] = 1.0 - cdf[flip, ::-1]
+    return np.clip(cdf, 0.0, 1.0).reshape(s.shape + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Statistics and verification harness.
 
 Kolmogorov-Smirnov machinery (with optional evaluation grids for lattice
-observables), quadrature marginalization of chamber densities, and the
-named verification suites aggregating every identity in the package.
+observables), quadrature marginalization of chamber densities for N <= 3,
+and the named verification suites aggregating every identity in the
+package.  The suites check the GOE/GUE spectra and the Bessel endpoint
+against the exact coordinate laws of `densities.coordinate_cdf`; the
+quadrature marginals serve the one law it does not cover, the g law
+before the horizon in `rmt.pm_bridge_check`.
 The KS statistics are computed here with numpy and the asymptotic
 critical values come from the Kolmogorov limit law
 (`scipy.special.kolmogi`), so the package imports no `scipy.stats`.
@@ -303,7 +307,7 @@ def _suite_combinatorics(samples, seed):
 
 def _suite_montecarlo(samples, seed):
     from .combinatorics import LatticeConfig, survival_probability
-    from .densities import ModelSpec, survival
+    from .densities import ModelSpec, coordinate_cdf, survival
     from .montecarlo import (SimConfig, _philox, endpoint_values, noncollision_mc,
                              sample_origin_law, simulate_sde, simulate_walkers)
 
@@ -340,10 +344,10 @@ def _suite_montecarlo(samples, seed):
     ref = sample_origin_law(ModelSpec(2), 1.0, k, rng)
     out.append(ks_two_sample(endpoint_values(ens, 1), ref[:, 1], level=level,
                              name="sde_p_n2_endpoint"))
-    ensb = simulate_sde(SimConfig("sde-p", ModelSpec(1, wall=True), step=1e-3,
-                                  t_end=1.0, samples=k, seed=seed))
-    out.append(ks_test(endpoint_values(ensb, 0), _chi3_cdf, level=level,
-                       name="sde_bessel_endpoint"))
+    bessel = ModelSpec(1, wall=True)       # the 3d Bessel process: chi law with 3 dof at t = 1
+    ensb = simulate_sde(SimConfig("sde-p", bessel, step=1e-3, t_end=1.0, samples=k, seed=seed))
+    out.append(ks_test(endpoint_values(ensb, 0), lambda x: coordinate_cdf(bessel, 1.0, x)[..., 0],
+                       level=level, name="sde_bessel_endpoint"))
 
     # walker endpoint gap vs the exact conditioned-gap law (lattice midpoints)
     L = 16
@@ -358,12 +362,6 @@ def _suite_montecarlo(samples, seed):
     out.append(ks_test(gap, cdf, level=level, name="walker_gap_fclt_L16",
                        eval_points=grid))
     return out
-
-
-def _chi3_cdf(x):
-    """CDF of the chi law with 3 degrees of freedom (the 3d Bessel process at t = 1)."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, special.gammainc(1.5, 0.5 * x**2), 0.0)
 
 
 def walker_gap_cdf(start_gap, t):
@@ -389,22 +387,23 @@ def walker_gap_cdf(start_gap, t):
 
 
 def _suite_rmt(samples, seed):
+    from .densities import ModelSpec, coordinate_cdf
     from .rmt import eigen_density, pm_bridge_check, sample_ensemble
 
     out = []
     level = 0.01 / 8
 
-    # sampled spectra vs closed forms, per coordinate
+    # sampled spectra vs their exact coordinate laws: GOE(v) is the g law at
+    # t = T = v, GUE(v) the p law at t = v
     k = min(samples, 5000)
     for kind in ("GOE", "GUE"):
         for n in (2, 3):
             sample = sample_ensemble(kind, n, variance=1.0, samples=k, seed=seed)
-            dens = lambda pts: eigen_density(kind, pts) * math.factorial(n)
+            spec = ModelSpec(n, horizon=1.0 if kind == "GOE" else math.inf)
             for c in range(n):
-                cdf, drift = marginal_cdf(dens, n, c, -6.0, 6.0, order=60)
-                out.append(ks_test(sample.eigenvalues[:, c], cdf, level=level,
-                                   name="%s_n%d_coord%d" % (kind, n, c),
-                                   metadata={"marginal_drift": drift}))
+                out.append(ks_test(sample.eigenvalues[:, c],
+                                   lambda x, c=c: coordinate_cdf(spec, 1.0, x)[..., c],
+                                   level=level, name="%s_n%d_coord%d" % (kind, n, c)))
 
     # eigen_density normalization over the chamber (N = 2)
     mass = chamber_integral(lambda y: eigen_density("GUE", y) * 2, 2, -7.0, 7.0, order=120)

@@ -1,7 +1,8 @@
 """Tensor Gauss-Legendre quadrature over ordered (Weyl chamber) regions.
 
 Supports up to three dimensions, which covers every numeric identity check
-in this package; larger particle counts go through Monte Carlo instead.
+in this package; larger particle counts go through the one-dimensional
+integrals of `densities.coordinate_cdf` or through Monte Carlo instead.
 """
 
 import numpy as np

@@ -21,10 +21,10 @@ from scipy.stats import qmc
 from viciouskit.cli import main as cli_main
 from viciouskit.combinatorics import (LatticeConfig, count_paths, oracle_count_dp,
                                       survival_probability)
-from viciouskit.densities import (ModelSpec, de_bruijn_check, g_density,
-                                  imhof_check, p_density, survival,
+from viciouskit.densities import (ModelSpec, coordinate_cdf, de_bruijn_check,
+                                  g_density, imhof_check, p_density, survival,
                                   survival_asymptotics)
-from viciouskit.harness import marginal_cdf, walker_gap_cdf
+from viciouskit.harness import walker_gap_cdf
 from viciouskit.montecarlo import (SimConfig, endpoint_values, noncollision_mc,
                                    simulate_sde, simulate_walkers)
 from viciouskit.quadrature import ordered_grid
@@ -170,12 +170,13 @@ def test_criterion_05_random_matrix_identities():
     draws = 10_000
     crit = KS_1PCT / math.sqrt(draws)
     worst_d = 0.0
+    # exact coordinate laws: GOE(1) is the g law at t = T = 1, GUE(1) the p law at t = 1
     for kind in ("GOE", "GUE"):
         for n in (2, 3):
             spec = sample_ensemble(kind, n, variance=1.0, samples=draws, seed=50)
-            dens = lambda y: eigen_density(kind, y, 1.0) * math.factorial(n)
+            law = ModelSpec(n, horizon=1.0 if kind == "GOE" else math.inf)
             for c in range(n):
-                cdf, _ = marginal_cdf(dens, n, c, -7.0, 7.0)
+                cdf = lambda x: coordinate_cdf(law, 1.0, x)[..., c]
                 d = sps.kstest(spec.eigenvalues[:, c], cdf).statistic
                 worst_d = max(worst_d, d)
     ok = ok and worst_d < crit
@@ -220,9 +221,8 @@ def test_criterion_07_interacting_sde_endpoints():
         ens = simulate_sde(SimConfig("sde-p", ModelSpec(n), step=1e-3, t_end=1.0,
                                      samples=paths, seed=70 + n, streams=4))
         ordered = ordered and bool(np.all(np.diff(ens.paths, axis=1) > 0))
-        dens = lambda y: eigen_density("GUE", y, 1.0) * math.factorial(n)
         for c in range(n):
-            cdf, _ = marginal_cdf(dens, n, c, -7.0, 7.0)
+            cdf = lambda x: coordinate_cdf(ModelSpec(n), 1.0, x)[..., c]      # GUE(1)
             d = sps.kstest(ens.paths[:, c, -1], cdf).statistic
             worst = max(worst, d)
     # wall, single particle: 3-d Bessel radial law

@@ -164,6 +164,7 @@ def test_lattice_time_must_be_a_step_count(argv, capsys):
     (["simulate", "--model", "sde-p", "--time", "5e-4", "--samples", "3"], "--time"),
     (["simulate", "--model", "sde-p", "--time", "inf", "--samples", "3"], "--time"),
     (["count", "--start", "0,2", "--end", "0"], "--end"),
+    (["simulate", "--scale", "1", "--horizon", "0.5", "--samples", "3"], "--horizon"),
 ])
 def test_bad_outside_input_names_the_flag(argv, flag, capsys):
     # not a library traceback with exit 1, nor (an unordered --at) the density at

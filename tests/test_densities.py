@@ -1,12 +1,17 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from viciouskit.densities import (ModelSpec, _survival_matrix, de_bruijn_check, drift,
-                                  drift_batch, g_density, imhof_check, km_density,
+from viciouskit import harness
+from viciouskit.densities import (ModelSpec, _survival_matrix, coordinate_cdf, de_bruijn_check,
+                                  drift, drift_batch, g_density, imhof_check, km_density,
                                   p_density, survival, survival_asymptotics, survival_batch)
-from viciouskit.quadrature import ordered_grid
+from viciouskit.harness import ks_test, marginal_cdf, verify_suite
+from viciouskit.montecarlo import _philox, sample_origin_law
+from viciouskit.quadrature import chamber_integral, ordered_grid
 from viciouskit.special_functions import h_hat_poly, h_poly, psi, psi_hat
 
 
@@ -318,3 +323,142 @@ def test_g_density_chapman_kolmogorov_from_origin():
                     else 0.0 for row in flat])
     lhs = float((mid * fin * wts.ravel()).sum())
     assert lhs == pytest.approx(g_density(spec, 0.0, None, 1.0, y), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# coordinate_cdf: exact coordinate laws of the four endpoint ensembles
+
+
+def _endpoint_law(family, n, t, wall):
+    """The ModelSpec and origin density of the g law at t = horizon or the p law at t."""
+    spec = ModelSpec(n, horizon=t if family == "g" else math.inf, wall=wall)
+    law = g_density if family == "g" else p_density
+    return spec, lambda y: law(spec, 0.0, None, t, y)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("family", ["g", "p"])
+def test_coordinate_cdf_single_walker_closed_forms(family, wall):
+    # N(0, t) free; behind the wall Rayleigh at t = T and chi with 3 degrees of
+    # freedom for the 3d Bessel process
+    t = 1.7
+    s = np.linspace(-3.0, 7.0, 201)
+    spec, _ = _endpoint_law(family, 1, t, wall)
+    u = np.maximum(s, 0.0) ** 2 / (2 * t)
+    closed = {(False, "g"): special.ndtr(s / math.sqrt(t)),
+              (False, "p"): special.ndtr(s / math.sqrt(t)),
+              (True, "g"): -np.expm1(-u),
+              (True, "p"): special.gammainc(1.5, u)}[wall, family]
+    np.testing.assert_allclose(coordinate_cdf(spec, t, s)[:, 0], closed, rtol=0, atol=1e-14)
+
+
+def _chamber_split(density, n, below, lo, s, hi, order):
+    """Chamber mass with exactly `below` coordinates in [lo, s] and the rest in [s, hi]."""
+    if below == 0:
+        return chamber_integral(density, n, s, hi, order=order)
+    if below == n:
+        return chamber_integral(density, n, lo, s, order=order)
+    pa, wa = ordered_grid(below, lo, s, order)
+    pb, wb = ordered_grid(n - below, s, hi, order)
+    grid = (pa.size // below, pb.size // (n - below))
+    pts = np.concatenate([np.broadcast_to(pa.reshape(-1, 1, below), grid + (below,)),
+                          np.broadcast_to(pb.reshape(1, -1, n - below), grid + (n - below,))],
+                         axis=-1)
+    return float(np.sum(density(pts) * wa.reshape(-1, 1) * wb.reshape(1, -1)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("family", ["g", "p"])
+def test_coordinate_cdf_matches_chamber_quadrature(family, wall, n):
+    # P(y_k <= s) = mass with at least k + 1 coordinates below s, by direct
+    # tensor quadrature of the origin density split at s
+    t = 0.7
+    spec, density = _endpoint_law(family, n, t, wall)
+    lo, hi = (0.0, 8.0) if wall else (-8.0, 8.0)
+    s = np.array([0.4, 1.6]) if wall else np.array([-0.6, 1.1])
+    got = coordinate_cdf(spec, t, s)
+    for i, si in enumerate(s):
+        parts = [_chamber_split(density, n, m, lo, si, hi, 40) for m in range(n + 1)]
+        ref = [sum(parts[k + 1:]) for k in range(n)]
+        np.testing.assert_allclose(got[i], ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("family", ["g", "p"])
+def test_coordinate_cdf_matches_marginal_cdf_table(family, wall):
+    # the quadrature marginal's renormalized 400-point table is good to its
+    # trapezoid error, about 1e-4 where the density has a slope at the wall
+    t, n = 1.0, 2
+    spec, density = _endpoint_law(family, n, t, wall)
+    lo, hi = (0.0, 9.0) if wall else (-9.0, 9.0)
+    s = np.linspace(lo, hi, 301)
+    exact = coordinate_cdf(spec, t, s)
+    for k in range(n):
+        cdf, _ = marginal_cdf(density, n, k, lo, hi, order=80)
+        np.testing.assert_allclose(exact[:, k], cdf(s), rtol=0, atol=2e-4)
+
+
+# Bonferroni over every coordinate of the laws below, free and behind the
+# wall: beta = 2 at N = 5 and 8, beta = 1 at N = 4 and 5 (test_montecarlo
+# covers the wall laws at N <= 6)
+KS_LAWS = [(family, n, wall) for wall in (False, True)
+           for family, sizes in (("p", (5, 8)), ("g", (4, 5))) for n in sizes]
+KS_LEVEL = 0.01 / sum(n for _, n, _ in KS_LAWS)
+
+
+@pytest.mark.parametrize("family, n, wall", KS_LAWS)
+def test_coordinate_cdf_matches_exact_draws(family, n, wall):
+    # 2e4 two-matrix draws per law.  The law is tabulated on 4001 points and
+    # interpolated: linear interpolation between exact values is within 2e-5
+    # of it, far inside the KS critical value of 0.014
+    t = 0.8
+    spec, _ = _endpoint_law(family, n, t, wall)
+    y = sample_origin_law(spec, t, 20_000, _philox(60 + n, 2 * wall + (family == "g")))
+    hi = (math.sqrt(8 * n) + 8) * math.sqrt(t)
+    grid = np.linspace(0.0 if wall else -hi, hi, 4001)
+    table = coordinate_cdf(spec, t, grid)
+    for k in range(n):
+        rep = ks_test(y[:, k], lambda v, k=k: np.interp(v, grid, table[:, k]), level=KS_LEVEL)
+        assert rep.verdict == "pass", (k, rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("family, n", [("g", 5), ("p", 8)])
+def test_coordinate_cdf_is_a_cdf(family, n, wall):
+    # every coordinate's law is monotone into [0, 1], coordinates are ordered,
+    # and the float error stays inside ks_test's 1e-12 monotonicity check
+    spec, _ = _endpoint_law(family, n, 1.0, wall)
+    s = np.linspace(-20.0, 20.0, 4001)
+    f = coordinate_cdf(spec, 1.0, s)
+    assert f.shape == (4001, n)
+    assert f.min() >= 0.0 and f.max() <= 1.0
+    assert f[0].max() < 1e-14 and f[-1].min() > 1.0 - 1e-14
+    if wall:
+        assert not f[s <= 0].any()
+    assert np.diff(f, axis=0).min() > -1e-12
+    assert np.all(np.diff(f, axis=1) <= 1e-12)      # y_k <= s implies y_(k-1) <= s
+    assert coordinate_cdf(spec, 1.0, 0.3).shape == (n,)
+
+
+def test_coordinate_cdf_rejects_finite_horizon_before_the_horizon():
+    with pytest.raises(ValueError, match="t = horizon"):
+        coordinate_cdf(ModelSpec(2, horizon=1.0), 0.5, 0.0)
+    with pytest.raises(ValueError):
+        coordinate_cdf(ModelSpec(2), 0.0, 0.0)
+
+
+def test_verify_rmt_marginalizes_only_for_the_pm_bridge(monkeypatch):
+    # the GOE/GUE checks take their laws from coordinate_cdf; only the PM
+    # bridge (g law at t < T, N = 2) still tabulates quadrature marginals
+    calls = []
+    marginalize = harness.marginalize
+
+    def counted(*args, **kwargs):
+        calls.append(any(f.function == "pm_bridge_check" for f in inspect.stack()))
+        return marginalize(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "marginalize", counted)
+    reports = verify_suite("rmt", samples=1000, seed=0)
+    assert len(reports) == 15
+    assert calls == [True, True]

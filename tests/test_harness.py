@@ -69,11 +69,6 @@ def test_ks_coefficient_is_kolmogorov_quantile(level):
     assert harness._ks_coefficient(level) == sps.kstwobign.isf(level)
 
 
-def test_chi3_cdf_matches_scipy():
-    x = np.linspace(-8.0, 8.0, 1601)
-    np.testing.assert_array_equal(harness._chi3_cdf(x), sps.chi(3).cdf(x))
-
-
 @pytest.mark.parametrize("start_gap,t", [(2.0 / 16, 1.0), (2.0, 1.0), (0.5, 0.3)])
 def test_walker_gap_cdf_matches_normal_cdf_form(start_gap, t):
     # the reflection difference of Gaussians written with scipy's normal CDF

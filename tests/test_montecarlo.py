@@ -8,7 +8,8 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
-from viciouskit.densities import ModelSpec, g_density, p_density, survival, survival_batch
+from viciouskit.densities import (ModelSpec, coordinate_cdf, g_density, p_density, survival,
+                                  survival_batch)
 from viciouskit.harness import ks_test, ks_two_sample, marginal_cdf
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
                                    _two_matrix_spectra, endpoint_values, noncollision_mc,
@@ -189,13 +190,13 @@ def test_origin_law_finite_horizon_branches_agree(wall):
         assert d < 2.0 * 1.63 * math.sqrt(2 / 4000)
 
 
-def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80, max_drift=1e-6):
+def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80):
     law = g_density if math.isfinite(spec.horizon) else p_density
     dens = lambda pts: law(spec, 0.0, None, t, pts)
     reports = []
     for k in range(spec.n_walkers):
         cdf, drift = marginal_cdf(dens, spec.n_walkers, k, lo, hi, order=order)
-        assert drift < max_drift
+        assert drift < 1e-6
         reports.append(ks_test(y[:, k], cdf, level=level))
     return reports
 
@@ -223,20 +224,26 @@ def test_wall_origin_law_matches_g_density(t):
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("t, T", [(0.3, 1.0), (1.0, 1.0), (0.7, math.inf)])
-def test_wall_origin_law_matches_density(n, t, T):
-    # class C draws, class CI at t = T, against the quadrature marginals of
-    # the origin-start g density (p density at T = inf); Bonferroni over the
-    # 18 coordinates of the 9 cases.  At t = T the density has a nonzero
-    # slope at the wall, so the 400-point trapezoid normalization is off by
-    # about n * 4e-5; the table is renormalized, so the CDF moves far less
-    # than the KS critical value
+@pytest.mark.parametrize("t, T, n", [(0.3, 1.0, n) for n in (1, 2, 3)]
+                         + [(1.0, 1.0, n) for n in range(1, 7)]
+                         + [(0.7, math.inf, n) for n in range(1, 7)])
+def test_wall_origin_law_matches_density(t, T, n):
+    # class C draws, class CI at t = T; Bonferroni over the 48 coordinates of
+    # the 15 cases.  At t = T and T = inf against the exact coordinate laws,
+    # tabulated on 4001 points: linear interpolation between exact values is
+    # within 2e-5 of the law, far inside the KS critical value.  At t = 0.3
+    # against the quadrature marginals of the origin-start g density
     spec = ModelSpec(n, horizon=T, wall=True)
     y = sample_origin_law(spec, t, 20_000, _philox(50 + n, int(10 * t)))
-    reports = _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, 0.01 / 18,
-                                  order=80 if n < 3 else 20,
-                                  max_drift=1e-6 if t < T else 2e-4)
+    level = 0.01 / 48
+    if t < T < math.inf:
+        reports = _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, level,
+                                      order=80 if n < 3 else 20)
+    else:
+        grid = np.linspace(0.0, (math.sqrt(8 * n) + 8) * math.sqrt(t), 4001)
+        table = coordinate_cdf(spec, t, grid)
+        reports = [ks_test(y[:, k], lambda v, k=k: np.interp(v, grid, table[:, k]), level=level)
+                   for k in range(n)]
     for rep in reports:
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
 
