@@ -38,7 +38,7 @@ def main():
             print("  %-12s D = %.4f (crit %.4f) -> %s"
                   % (rep.test_name, rep.statistic, rep.critical_value, rep.verdict))
 
-    print("\ninterpolation bridge at t = T/2 (one-sample KS per coordinate against g_density)")
+    print("\ninterpolation bridge at t = T/2 (one-sample KS per coordinate against the exact g law)")
     for rep in pm_bridge_check(2, 1.0, 0.5, samples=5000, seed=4):
         print("  %-24s D = %.4f (crit %.4f) -> %s"
               % (rep.test_name, rep.statistic, rep.critical_value, rep.verdict))

@@ -13,8 +13,7 @@ from .combinatorics import (LatticeConfig, WalkCount, count_paths, oracle_count_
 from .densities import (ModelSpec, coordinate_cdf, de_bruijn_check, drift, drift_batch,
                         g_density, imhof_check, km_density, p_density, survival,
                         survival_asymptotics, survival_batch)
-from .harness import (StatReport, ks_test, ks_two_sample, marginal_cdf, marginalize,
-                      verify_suite)
+from .harness import StatReport, ks_test, ks_two_sample, verify_suite
 from .linalg import pfaffian
 from .montecarlo import (PathEnsemble, SimConfig, endpoint_values, noncollision_mc,
                          sample_origin_law, simulate_sde, simulate_walkers)

@@ -1,12 +1,10 @@
 """Statistics and verification harness.
 
 Kolmogorov-Smirnov machinery (with optional evaluation grids for lattice
-observables), quadrature marginalization of chamber densities for N <= 3,
-and the named verification suites aggregating every identity in the
-package.  The suites check the GOE/GUE spectra and the Bessel endpoint
-against the exact coordinate laws of `densities.coordinate_cdf`; the
-quadrature marginals serve the one law it does not cover, the g law
-before the horizon in `rmt.pm_bridge_check`.
+observables) and the named verification suites aggregating every identity
+in the package.  The suites check the GOE/GUE spectra, the Bessel endpoint
+and the PM bridge (`rmt.pm_bridge_check`, the g law before the horizon)
+against the exact coordinate laws of `densities.coordinate_cdf`.
 The KS statistics are computed here with numpy and the asymptotic
 critical values come from the Kolmogorov limit law
 (`scipy.special.kolmogi`), so the package imports no `scipy.stats`.
@@ -18,14 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .quadrature import SLAB_POINTS, chamber_integral, ordered_grid
+from .quadrature import chamber_integral
 
 __all__ = [
     "StatReport",
     "ks_test",
     "ks_two_sample",
-    "marginalize",
-    "marginal_cdf",
     "verify_suite",
     "SUITES",
 ]
@@ -111,63 +107,6 @@ def ks_two_sample(a, b, level=0.01, name="ks2", metadata=None):
     md = dict(metadata or {})
     md["level"] = level
     return StatReport(name, d, crit, len(a) + len(b), metadata=md)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature marginalization (N <= 3)
-
-
-def marginalize(density, n, coordinate, grid, lo, hi, order=80):
-    """Marginal density of one coordinate of an ordered-chamber density.
-
-    density takes an (..., n) array; returns (values on grid, normalization
-    drift), drift being |trapezoid integral - 1|.  At each grid value g the
-    coordinates below it run over ordered_grid(., lo, g) and those above
-    over ordered_grid(., g, hi); density is called once per slab of grid
-    values, at most SLAB_POINTS points per call.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if not (0 <= coordinate < n):
-        raise ValueError("coordinate out of range")
-    if n > 3:
-        raise ValueError("marginalize supports n <= 3")
-    below, above = coordinate, n - 1 - coordinate
-    vals = np.empty_like(grid)
-    rows = max(SLAB_POINTS // order ** (n - 1), 1)
-    for i in range(0, len(grid), rows):
-        g = grid[i:i + rows]
-        pts = np.empty((len(g),) + (order,) * (n - 1) + (n,))
-        wts = np.ones((len(g),) + (1,) * (n - 1))
-        pts[..., coordinate] = g.reshape(wts.shape)
-        if below:
-            p, w = ordered_grid(below, lo, g, order)
-            pts[..., :below] = p.reshape(p.shape[:-1] + (1,) * above + (below,))
-            wts = wts * w.reshape(w.shape + (1,) * above)
-        if above:
-            p, w = ordered_grid(above, g, hi, order)
-            pts[..., below + 1:] = p.reshape((len(g),) + (1,) * below + p.shape[1:])
-            wts = wts * w.reshape((len(g),) + (1,) * below + w.shape[1:])
-        vals[i:i + rows] = np.sum(density(pts) * wts, axis=tuple(range(1, n)))
-    drift = abs(float(np.trapezoid(vals, grid)) - 1.0)
-    return vals, drift
-
-
-def marginal_cdf(density, n, coordinate, lo, hi, order=80):
-    """Callable CDF of one coordinate, built from the quadrature marginal.
-
-    The marginal is tabulated on 400 evenly spaced points of [lo, hi] and
-    the table is renormalized; the raw normalization drift is returned as
-    the second element.
-    """
-    grid = np.linspace(lo, hi, 400)
-    vals, drift = marginalize(density, n, coordinate, grid, lo, hi, order=order)
-    cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2 * np.diff(grid))])
-    cum /= cum[-1]
-
-    def cdf(x):
-        return np.clip(np.interp(x, grid, cum, left=0.0, right=1.0), 0.0, 1.0)
-
-    return cdf, drift
 
 
 # ---------------------------------------------------------------------------

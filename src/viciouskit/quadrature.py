@@ -1,8 +1,8 @@
 """Tensor Gauss-Legendre quadrature over ordered (Weyl chamber) regions.
 
-Supports up to three dimensions, which covers every numeric identity check
-in this package; larger particle counts go through the one-dimensional
-integrals of `densities.coordinate_cdf` or through Monte Carlo instead.
+Supports up to three dimensions: the brute-force reference for the checks
+that the package otherwise reduces to one-dimensional integrals
+(`densities.coordinate_cdf` gives every coordinate law at any N).
 """
 
 import numpy as np
@@ -20,9 +20,7 @@ def ordered_grid(n, lo, hi, order=80):
 
     Maps each coordinate to the remaining interval [y_{k-1}, hi] with a
     Gauss-Legendre rule; returns (points, weights) with points of shape
-    grid + (n,) and weights of shape grid, grid = (order,) * n.  lo and hi
-    may also be arrays: the rules for each pair of bounds then stack along
-    leading axes, grid = broadcast shape of lo and hi + (order,) * n.
+    (order,) * n + (n,) and weights of shape (order,) * n.
     """
     if n < 1 or n > 3:
         raise ValueError("ordered_grid supports 1 <= n <= 3")
@@ -31,10 +29,9 @@ def ordered_grid(n, lo, hi, order=80):
     w = 0.5 * wi
 
     shapes = [tuple(order if k == d else 1 for k in range(n)) for d in range(n)]
-    hi = np.reshape(hi, np.shape(hi) + (1,) * n)
     ys = []
     weight = np.ones((1,) * n)
-    prev = np.reshape(lo, np.shape(lo) + (1,) * n)
+    prev = lo
     for d in range(n):
         ud = u.reshape(shapes[d])
         wd = w.reshape(shapes[d])

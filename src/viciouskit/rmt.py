@@ -2,7 +2,8 @@
 
 GOE / GUE / interpolating (Pandey-Mehta style) sampling, the closed-form
 ordered-eigenvalue densities, and the bridge check identifying the
-rescaled finite-horizon endpoint law with the interpolating ensemble.
+rescaled finite-horizon endpoint law with the interpolating ensemble
+through the exact coordinate laws of `densities.coordinate_cdf`.
 """
 
 import math
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ModelSpec, g_density
-from .harness import ks_test, marginal_cdf
+from .densities import ModelSpec, coordinate_cdf
+from .harness import ks_test
 from .montecarlo import _philox, _two_matrix_spectra
 from .special_functions import constants, h_poly
 
@@ -91,27 +92,20 @@ def pm_bridge_check(n, horizon, t, samples=10_000, seed=0, level=0.01):
     """One-sample comparison of the PM ensemble with the finite-horizon law.
 
     PM spectra at alpha = sqrt((T-t)/T), scaled by sqrt(t(2T-t)/T) --
-    the two-matrix model GUE(t(T-t)/T) + GOE(t^2/T) -- against the
-    quadrature marginals of the origin-start g_density at time t.  No
-    parameter is fitted.  Returns one KS report per coordinate and one for
-    the top eigenvalue.  n <= 3, the reach of the quadrature marginals.
+    the two-matrix model GUE(t(T-t)/T) + GOE(t^2/T) -- against the exact
+    coordinate laws of the origin-start g law at time t
+    (densities.coordinate_cdf), at any n.  No parameter is fitted.  Returns
+    one KS report per coordinate and one for the top eigenvalue.
     """
     if not (0 < t < horizon):
         raise ValueError("need 0 < t < horizon")
-    if n > 3:
-        raise ValueError("pm_bridge_check supports n <= 3")
     alpha = math.sqrt((horizon - t) / horizon)
     pm = sample_ensemble("PM", n, alpha=alpha, samples=samples, seed=seed).eigenvalues
     y = pm * math.sqrt(t * (2 * horizon - t) / horizon)
     spec = ModelSpec(n, horizon=horizon)
-    span = 8 * math.sqrt(t)
-    reports = []
-    for k in range(n):
-        cdf, drift = marginal_cdf(lambda pts: g_density(spec, 0.0, None, t, pts),
-                                  n, k, -span, span, order=40)
-        md = {"alpha": alpha, "marginal_drift": drift}
-        reports.append(ks_test(y[:, k], cdf, level=level, metadata=md,
-                               name="pm_bridge_coord%d_t%g" % (k, t)))
-    reports.append(ks_test(y[:, -1], cdf, level=level, metadata=md,
-                           name="pm_bridge_top_t%g" % t))
+    reports = [ks_test(y[:, k], lambda v, k=k: coordinate_cdf(spec, t, v)[..., k], level=level,
+                       metadata={"alpha": alpha}, name="pm_bridge_coord%d_t%g" % (k, t))
+               for k in range(n)]
+    reports.append(ks_test(y[:, -1], lambda v: coordinate_cdf(spec, t, v)[..., -1], level=level,
+                           metadata={"alpha": alpha}, name="pm_bridge_top_t%g" % t))
     return reports

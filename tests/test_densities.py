@@ -1,15 +1,13 @@
-import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from viciouskit import harness
 from viciouskit.densities import (ModelSpec, _survival_matrix, coordinate_cdf, de_bruijn_check,
                                   drift, drift_batch, g_density, imhof_check, km_density,
                                   p_density, survival, survival_asymptotics, survival_batch)
-from viciouskit.harness import ks_test, marginal_cdf, verify_suite
+from viciouskit.harness import ks_test
 from viciouskit.montecarlo import _philox, sample_origin_law
 from viciouskit.quadrature import chamber_integral, ordered_grid
 from viciouskit.special_functions import h_hat_poly, h_poly, psi, psi_hat
@@ -384,21 +382,6 @@ def test_coordinate_cdf_matches_chamber_quadrature(family, wall, n):
         np.testing.assert_allclose(got[i], ref, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("wall", [False, True])
-@pytest.mark.parametrize("family", ["g", "p"])
-def test_coordinate_cdf_matches_marginal_cdf_table(family, wall):
-    # the quadrature marginal's renormalized 400-point table is good to its
-    # trapezoid error, about 1e-4 where the density has a slope at the wall
-    t, n = 1.0, 2
-    spec, density = _endpoint_law(family, n, t, wall)
-    lo, hi = (0.0, 9.0) if wall else (-9.0, 9.0)
-    s = np.linspace(lo, hi, 301)
-    exact = coordinate_cdf(spec, t, s)
-    for k in range(n):
-        cdf, _ = marginal_cdf(density, n, k, lo, hi, order=80)
-        np.testing.assert_allclose(exact[:, k], cdf(s), rtol=0, atol=2e-4)
-
-
 # Bonferroni over every coordinate of the laws below, free and behind the
 # wall: beta = 2 at N = 5 and 8, beta = 1 at N = 4 and 5 (test_montecarlo
 # covers the wall laws at N <= 6)
@@ -441,24 +424,98 @@ def test_coordinate_cdf_is_a_cdf(family, n, wall):
     assert coordinate_cdf(spec, 1.0, 0.3).shape == (n,)
 
 
-def test_coordinate_cdf_rejects_finite_horizon_before_the_horizon():
-    with pytest.raises(ValueError, match="t = horizon"):
-        coordinate_cdf(ModelSpec(2, horizon=1.0), 0.5, 0.0)
-    with pytest.raises(ValueError):
-        coordinate_cdf(ModelSpec(2), 0.0, 0.0)
+def test_coordinate_cdf_rejects_bad_times_and_points():
+    g, p = ModelSpec(2, horizon=1.0), ModelSpec(2)
+    for spec, t in ((g, 0.0), (g, -1.0), (g, 1.5), (g, math.inf), (g, math.nan),
+                    (ModelSpec(2, horizon=1.0, wall=True), math.inf), (p, 0.0), (p, math.inf)):
+        with pytest.raises(ValueError, match=r"\bt = "):
+            coordinate_cdf(spec, t, 0.3)
+    for spec in (g, p, ModelSpec(3, horizon=1.0, wall=True), ModelSpec(3, wall=True)):
+        with pytest.raises(ValueError, match=r"\bs must"):
+            coordinate_cdf(spec, 0.5, np.array([0.1, math.nan]))
+    # a kernel finer than the grid can resolve is refused, not left to run,
+    # and so is a law float64 cannot resolve
+    with pytest.raises(ValueError, match="too close to the horizon"):
+        coordinate_cdf(g, 1.0 - 1e-9, 0.3)
+    with pytest.raises(ValueError, match="float64 cannot resolve"):
+        coordinate_cdf(ModelSpec(8, horizon=1.0, wall=True), 0.1, 0.3)
 
 
-def test_verify_rmt_marginalizes_only_for_the_pm_bridge(monkeypatch):
-    # the GOE/GUE checks take their laws from coordinate_cdf; only the PM
-    # bridge (g law at t < T, N = 2) still tabulates quadrature marginals
-    calls = []
-    marginalize = harness.marginalize
+# ---------------------------------------------------------------------------
+# coordinate_cdf before the horizon: the two-matrix law and its class C analogue
 
-    def counted(*args, **kwargs):
-        calls.append(any(f.function == "pm_bridge_check" for f in inspect.stack()))
-        return marginalize(*args, **kwargs)
+BEFORE_HORIZON = [0.3, 0.5, 0.9, 0.99]      # t / T
 
-    monkeypatch.setattr(harness, "marginalize", counted)
-    reports = verify_suite("rmt", samples=1000, seed=0)
-    assert len(reports) == 15
-    assert calls == [True, True]
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("ratio", BEFORE_HORIZON)
+def test_coordinate_cdf_single_walker_before_the_horizon(ratio, wall):
+    # free N(0, t); behind the wall the meander-type law
+    # F(s) = erf(s sqrt(T / 2 t tau)) - sqrt(T / t) e^{-s^2 / 2t} erf(s / sqrt(2 tau))
+    T = 1.6
+    t, tau = ratio * T, (1 - ratio) * T
+    s = np.linspace(-3.0, 7.0, 201)
+    f = coordinate_cdf(ModelSpec(1, horizon=T, wall=wall), t, s)[:, 0]
+    if wall:
+        u = np.maximum(s, 0.0)
+        closed = (special.erf(u * math.sqrt(T / (2 * t * tau)))
+                  - math.sqrt(T / t) * np.exp(-u ** 2 / (2 * t)) * special.erf(u / math.sqrt(2 * tau)))
+    else:
+        closed = special.ndtr(s / math.sqrt(t))
+    np.testing.assert_allclose(f, closed, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("ratio", BEFORE_HORIZON)
+def test_coordinate_cdf_before_the_horizon_matches_chamber_quadrature(ratio, wall, n):
+    # as test_coordinate_cdf_matches_chamber_quadrature, at one s in the
+    # bulk (the reference evaluates psi_hat at every node).  The chamber runs
+    # to 10, as at t near T the wall law's mass above 8 reaches 1e-11, and at
+    # t / T = 0.99 the density varies on the scale sqrt(T - t) = 0.1, which
+    # takes order 50 (order 40 is off by up to 1e-9 there)
+    t = ratio * 1.0
+    spec = ModelSpec(n, horizon=1.0, wall=wall)
+    density = lambda y: g_density(spec, 0.0, None, t, y)
+    lo, hi, s = (0.0, 10.0, 0.9) if wall else (-10.0, 10.0, 0.3)
+    order = 50 if ratio > 0.95 else 40
+    parts = [_chamber_split(density, n, m, lo, s, hi, order) for m in range(n + 1)]
+    ref = [sum(parts[k + 1:]) for k in range(n)]
+    np.testing.assert_allclose(coordinate_cdf(spec, t, s), ref, rtol=0, atol=1e-10)
+
+
+# Bonferroni over the 30 coordinates of the laws below
+BEFORE_HORIZON_KS = [(n, ratio, wall) for wall in (False, True)
+                     for n, ratio in ((4, 0.6), (5, 0.9), (6, 0.6))]
+
+
+@pytest.mark.parametrize("n, ratio, wall", BEFORE_HORIZON_KS)
+def test_coordinate_cdf_before_the_horizon_matches_exact_draws(n, ratio, wall):
+    # 2e4 exact two-matrix draws (class C behind the wall) per law, against
+    # the law tabulated on 4001 points as in test_coordinate_cdf_matches_exact_draws
+    t = ratio * 1.0
+    spec = ModelSpec(n, horizon=1.0, wall=wall)
+    y = sample_origin_law(spec, t, 20_000, _philox(70 + n, 2 * wall + int(10 * ratio)))
+    hi = (math.sqrt(8 * n) + 8) * math.sqrt(t)
+    grid = np.linspace(0.0 if wall else -hi, hi, 4001)
+    table = coordinate_cdf(spec, t, grid)
+    for k in range(n):
+        rep = ks_test(y[:, k], lambda v, k=k: np.interp(v, grid, table[:, k]), level=0.01 / 30)
+        assert rep.verdict == "pass", (k, rep.statistic, rep.critical_value)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("n, ratio", [(5, 0.5), (8, 0.9)])
+def test_coordinate_cdf_before_the_horizon_is_a_cdf(n, ratio, wall):
+    # the invariants of test_coordinate_cdf_is_a_cdf for the g law at t < T,
+    # to the 1e-12 of ks_test's monotonicity check; at N = 8 the de Bruijn
+    # matrix is well conditioned for t / T near 1 only (coordinate_cdf)
+    spec = ModelSpec(n, horizon=1.0, wall=wall)
+    s = np.linspace(-20.0, 20.0, 4001)
+    f = coordinate_cdf(spec, ratio, s)
+    assert f.min() >= 0.0 and f.max() <= 1.0
+    assert f[0].max() < 1e-12 and f[-1].min() > 1.0 - 1e-12
+    if wall:
+        assert not f[s <= 0].any()
+    assert np.diff(f, axis=0).min() > -1e-12
+    assert np.all(np.diff(f, axis=1) <= 1e-12)

@@ -5,10 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit import harness
-from viciouskit.harness import (StatReport, ks_test, ks_two_sample, marginal_cdf,
-                                marginalize, verify_suite, walker_gap_cdf)
-from viciouskit.quadrature import ordered_grid
-from viciouskit.rmt import eigen_density
+from viciouskit.harness import StatReport, ks_test, ks_two_sample, verify_suite, walker_gap_cdf
 from viciouskit.special_functions import psi
 
 
@@ -86,71 +83,6 @@ def test_statreport_verdict_invariant():
     assert StatReport("x", 1.5, 1.0, 10).verdict == "fail"
     d = StatReport("x", 0.5, 1.0, 10, metadata={"k": np.float64(2)}).as_dict()
     assert d["verdict"] == "pass" and d["metadata"]["k"] == 2.0
-
-
-def test_marginalize_single_coordinate_identity():
-    grid = np.linspace(-8, 8, 600)
-    vals, drift = marginalize(lambda y: sps.norm.pdf(y[..., 0]), 1, 0,
-                              grid, -8.0, 8.0)
-    np.testing.assert_allclose(vals, sps.norm.pdf(grid), atol=1e-10)
-    assert drift < 1e-5
-
-
-def test_marginalize_gue_normalization_and_symmetry():
-    dens = lambda y: eigen_density("GUE", y, 1.0) * 2
-    grid = np.linspace(-6, 6, 300)
-    lo_vals, d0 = marginalize(dens, 2, 0, grid, -8.0, 8.0)
-    hi_vals, d1 = marginalize(dens, 2, 1, grid, -8.0, 8.0)
-    assert d0 < 1e-5 and d1 < 1e-5
-    # the two ordered eigenvalues mirror each other under x -> -x
-    np.testing.assert_allclose(lo_vals, hi_vals[::-1], atol=1e-8)
-
-
-def _marginal_point_by_point(density, n, coordinate, grid, lo, hi, order):
-    """Reference: one density call per grid value, coordinates below g in
-    an ordered rule on [lo, g] and those above in one on [g, hi]."""
-    vals = np.empty_like(grid)
-    below, above = coordinate, n - 1 - coordinate
-    for i, g in enumerate(grid):
-        parts, w = [], np.ones(())
-        if below:
-            p, wb = ordered_grid(below, lo, g, order)
-            parts.append(p.reshape(p.shape[:-1] + (1,) * above + (below,)))
-            w = w * wb.reshape(wb.shape + (1,) * above)
-        if above:
-            p, wa = ordered_grid(above, g, hi, order)
-            parts.append(p.reshape((1,) * below + p.shape))
-            w = w * wa.reshape((1,) * below + wa.shape)
-        shape = (order,) * (n - 1)
-        cols = [np.broadcast_to(q, shape + q.shape[-1:]) for q in parts]
-        cols.insert(1 if below else 0, np.full(shape + (1,), g))
-        pts = np.concatenate(cols, axis=-1)
-        vals[i] = np.sum(density(pts) * w)
-    return vals
-
-
-@pytest.mark.parametrize("slab_points", [harness.SLAB_POINTS, 1000])
-@pytest.mark.parametrize("n", [2, 3])
-def test_marginalize_matches_point_by_point(n, slab_points, monkeypatch):
-    # the small cap splits the grid into uneven slabs (one row each at n = 3)
-    monkeypatch.setattr(harness, "SLAB_POINTS", slab_points)
-    dens = lambda y: eigen_density("GOE", y, 1.0) * math.factorial(n)
-    grid = np.linspace(-5.0, 5.0, 97)
-    for c in range(n):
-        vals, _ = marginalize(dens, n, c, grid, -6.0, 6.0, order=30)
-        ref = _marginal_point_by_point(dens, n, c, grid, -6.0, 6.0, 30)
-        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0)
-
-
-def test_marginal_cdf_is_monotone_cdf():
-    dens = lambda y: eigen_density("GUE", y, 1.0) * 2
-    cdf, drift = marginal_cdf(dens, 2, 1, -8.0, 8.0)
-    assert drift < 1e-5
-    xs = np.linspace(-8, 8, 50)
-    vals = cdf(xs)
-    assert np.all(np.diff(vals) >= 0)
-    assert vals[0] == pytest.approx(0.0, abs=1e-9)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_walker_gap_cdf_limits():

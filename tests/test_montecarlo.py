@@ -8,9 +8,8 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
-from viciouskit.densities import (ModelSpec, coordinate_cdf, g_density, p_density, survival,
-                                  survival_batch)
-from viciouskit.harness import ks_test, ks_two_sample, marginal_cdf
+from viciouskit.densities import ModelSpec, coordinate_cdf, survival, survival_batch
+from viciouskit.harness import ks_test, ks_two_sample
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
                                    _two_matrix_spectra, endpoint_values, noncollision_mc,
                                    sample_origin_law, simulate_sde, simulate_walkers)
@@ -190,61 +189,50 @@ def test_origin_law_finite_horizon_branches_agree(wall):
         assert d < 2.0 * 1.63 * math.sqrt(2 / 4000)
 
 
-def _origin_marginal_ks(spec, t, y, lo, hi, level, order=80):
-    law = g_density if math.isfinite(spec.horizon) else p_density
-    dens = lambda pts: law(spec, 0.0, None, t, pts)
-    reports = []
-    for k in range(spec.n_walkers):
-        cdf, drift = marginal_cdf(dens, spec.n_walkers, k, lo, hi, order=order)
-        assert drift < 1e-6
-        reports.append(ks_test(y[:, k], cdf, level=level))
-    return reports
+def _exact_law_ks(spec, t, y, level):
+    """One KS report per coordinate of the draws y against the exact origin law at t.
+
+    The law is tabulated on 4001 points and interpolated: linear
+    interpolation between exact values is within 2e-5 of it, far inside the
+    KS critical value.
+    """
+    hi = (math.sqrt(8 * spec.n_walkers) + 8) * math.sqrt(t)
+    grid = np.linspace(0.0 if spec.wall else -hi, hi, 4001)
+    table = coordinate_cdf(spec, t, grid)
+    return [ks_test(y[:, k], lambda v, k=k: np.interp(v, grid, table[:, k]), level=level)
+            for k in range(spec.n_walkers)]
 
 
-@pytest.mark.parametrize("n, t, order", [(2, 0.1, 80), (2, 0.5, 80), (2, 0.9, 80),
-                                         (3, 0.5, 30)])
-def test_free_origin_law_matches_g_density(n, t, order):
-    # two-matrix draws against the quadrature marginals of the origin-start
+@pytest.mark.parametrize("n, t", [(2, 0.1), (2, 0.5), (2, 0.9), (3, 0.5)])
+def test_free_origin_law_matches_g_density(n, t):
+    # two-matrix draws against the exact coordinate laws of the origin-start
     # finite-horizon density; Bonferroni over the 9 coordinates of the 4 cases
     spec = ModelSpec(n, horizon=1.0)
     y = sample_origin_law(spec, t, 100_000, _philox(20 + n, int(10 * t)))
-    span = 8 * math.sqrt(t) + 1
-    for rep in _origin_marginal_ks(spec, t, y, -span, span, 0.01 / 9, order):
+    for rep in _exact_law_ks(spec, t, y, 0.01 / 9):
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.75])
 def test_wall_origin_law_matches_g_density(t):
-    # class C draws before and after T/2 against the quadrature marginals of
+    # class C draws before and after T/2 against the exact coordinate laws of
     # the origin-start finite-horizon density; Bonferroni over the 4
     # coordinates of the 2 cases
     spec = ModelSpec(2, horizon=1.0, wall=True)
     y = sample_origin_law(spec, t, 20_000, _philox(31, int(100 * t)))
-    for rep in _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, 0.01 / 4):
+    for rep in _exact_law_ks(spec, t, y, 0.01 / 4):
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
 
 
-@pytest.mark.parametrize("t, T, n", [(0.3, 1.0, n) for n in (1, 2, 3)]
+@pytest.mark.parametrize("t, T, n", [(0.3, 1.0, n) for n in range(1, 7)]
                          + [(1.0, 1.0, n) for n in range(1, 7)]
                          + [(0.7, math.inf, n) for n in range(1, 7)])
 def test_wall_origin_law_matches_density(t, T, n):
-    # class C draws, class CI at t = T; Bonferroni over the 48 coordinates of
-    # the 15 cases.  At t = T and T = inf against the exact coordinate laws,
-    # tabulated on 4001 points: linear interpolation between exact values is
-    # within 2e-5 of the law, far inside the KS critical value.  At t = 0.3
-    # against the quadrature marginals of the origin-start g density
+    # class C draws, class CI at t = T, against the exact coordinate laws;
+    # Bonferroni over the 63 coordinates of the 18 cases
     spec = ModelSpec(n, horizon=T, wall=True)
     y = sample_origin_law(spec, t, 20_000, _philox(50 + n, int(10 * t)))
-    level = 0.01 / 48
-    if t < T < math.inf:
-        reports = _origin_marginal_ks(spec, t, y, 0.0, 8 * math.sqrt(t) + 1, level,
-                                      order=80 if n < 3 else 20)
-    else:
-        grid = np.linspace(0.0, (math.sqrt(8 * n) + 8) * math.sqrt(t), 4001)
-        table = coordinate_cdf(spec, t, grid)
-        reports = [ks_test(y[:, k], lambda v, k=k: np.interp(v, grid, table[:, k]), level=level)
-                   for k in range(n)]
-    for rep in reports:
+    for rep in _exact_law_ks(spec, t, y, 0.01 / 63):
         assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
 
 

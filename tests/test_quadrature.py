@@ -59,16 +59,6 @@ def test_chamber_integral_slabs_match_one_shot_sum(order, slab_points, monkeypat
         assert chamber_integral(f, n, -5.0, 6.0, order) == pytest.approx(one_shot, rel=1e-13)
 
 
-def test_ordered_grid_array_bounds_stack_scalar_rules():
-    his = np.array([0.5, 1.0, 3.0])
-    pts, wts = ordered_grid(2, -1.0, his, order=12)
-    assert pts.shape == (3, 12, 12, 2) and wts.shape == (3, 12, 12)
-    for k, hi in enumerate(his):
-        p, w = ordered_grid(2, -1.0, hi, order=12)
-        np.testing.assert_array_equal(pts[k], p)
-        np.testing.assert_array_equal(wts[k], w)
-
-
 def test_de_bruijn_n3_memory_is_bounded():
     # one-shot evaluation of the 120^3-point integrand peaked at 290 MiB
     tracemalloc.start()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from viciouskit.densities import ModelSpec
-from viciouskit.harness import marginal_cdf
+from viciouskit.densities import ModelSpec, coordinate_cdf
 from viciouskit.montecarlo import sample_origin_law
 from viciouskit.quadrature import chamber_integral
 from viciouskit.rmt import eigen_density, pm_bridge_check, sample_ensemble
@@ -30,12 +29,11 @@ def test_eigen_density_normalizes():
 @pytest.mark.parametrize("kind", ["GOE", "GUE"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_spectra_match_closed_form_density(kind, n):
+    # GOE(1) is the g law at t = T = 1, GUE(1) the p law at t = 1
     s = sample_ensemble(kind, n, variance=1.0, samples=4000, seed=8)
+    spec = ModelSpec(n, horizon=1.0 if kind == "GOE" else math.inf)
     for k in range(n):
-        dens = lambda y: eigen_density(kind, y, 1.0) * math.factorial(n)
-        cdf, drift = marginal_cdf(dens, n, k, -9.0, 9.0)
-        assert drift < 1e-6
-        d = sps.kstest(s.eigenvalues[:, k], cdf).statistic
+        d = sps.kstest(s.eigenvalues[:, k], lambda x: coordinate_cdf(spec, 1.0, x)[..., k]).statistic
         assert d < 1.63 / math.sqrt(4000)
 
 
@@ -89,14 +87,12 @@ def test_finite_horizon_endpoint_mass_shrinks_with_t():
 
 
 def test_pm_bridge_check_passes():
-    reports = pm_bridge_check(2, 1.0, 0.5, samples=4000, seed=0)
-    assert len(reports) == 3
-    assert all(r.verdict == "pass" for r in reports)
-    assert all("fitted_scale" not in r.metadata for r in reports)
-    # n = 4 is beyond the quadrature marginals; its law is covered in
-    # test_montecarlo against a thinned-GOE reference
-    with pytest.raises(ValueError):
-        pm_bridge_check(4, 1.0, 0.5, samples=4000, seed=0)
+    # Bonferroni over the 12 reports of the three sizes
+    for n in (2, 4, 5):
+        reports = pm_bridge_check(n, 1.0, 0.5, samples=4000, seed=0, level=0.01 / 12)
+        assert len(reports) == n + 1
+        assert all(r.verdict == "pass" for r in reports), [r.statistic for r in reports]
+        assert all("fitted_scale" not in r.metadata for r in reports)
 
 
 def test_input_validation():
