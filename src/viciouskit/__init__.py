@@ -20,7 +20,6 @@ from .montecarlo import (PathEnsemble, SimConfig, endpoint_values, noncollision_
 from .quadrature import chamber_integral, ordered_grid
 from .rmt import SpectrumSample, eigen_density, pm_bridge_check, sample_ensemble
 from .special_functions import (ModelConstants, constants, h_hat_poly, h_poly,
-                                mehta_integral, mehta_integral_quadrature, psi,
-                                psi_hat)
+                                mehta_integral, psi, psi_hat)
 
 __version__ = "0.1.0"

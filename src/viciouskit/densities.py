@@ -4,8 +4,8 @@ Karlin-McGregor determinant kernels, Pfaffian non-collision probabilities,
 the finite-horizon and infinite-horizon transition densities (free and
 wall-restricted), the exact coordinate laws of their origin starts at any
 N (coordinate_cdf), their drifts, the generalized Imhof product identity,
-small-configuration survival asymptotics, and the de Bruijn
-integral-to-Pfaffian reduction check.
+small-configuration survival asymptotics, and, from coordinate_cdf's tables,
+the checks of de Bruijn's integral-to-Pfaffian reduction at any N.
 """
 
 import functools
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .quadrature import SLAB_POINTS, chamber_integral
+from .quadrature import SLAB_POINTS
 from .special_functions import (_gl_nodes, _psi_hat_grad, _small_gap_survival, constants,
                                 h_hat_poly, h_poly, psi, psi_hat)
 
@@ -241,9 +241,7 @@ def _hermite_basis(n, wall, beta, x):
 
     P_i are the Hermite polynomials h_k(x sqrt(2/beta)) orthonormal under
     e^{-x^2/beta}, k = i on the line and k = 2i + 1 behind the wall (odd
-    functions restricted to the half-line).  For beta = 2 they are
-    orthonormal under the law's weight e^{-x^2/2}, up to the constant
-    sqrt(2 pi) (free) or sqrt(pi/2) (wall).  For beta = 1 the weight is the
+    functions restricted to the half-line).  For beta = 1 that weight is the
     square of the law's, which keeps the de Bruijn matrix well conditioned
     at every N.
     """
@@ -321,71 +319,101 @@ def _bordered(a, b):
     return out
 
 
-def _count_above(ints, total, n, wall, beta):
-    """P(exactly m coordinates above s), m = 0..N, from coordinate_cdf's integrals up to s."""
+def _chamber_mass(total, n, beta):
+    """Chamber integral of det[phi_i(x_j)] Pf[eps(x_i, x_j)] (beta = 1) or det[phi_i(x_j)]^2.
+
+    De Bruijn's Pfaffian of total = L(inf), bordered by B(inf) for odd N,
+    or Andreief's determinant of the Gram matrix total.
+    """
     if beta == 2:
-        # the basis is orthonormal, so B = I - int_lo^s
-        norm = math.sqrt(math.pi / 2 if wall else 2 * math.pi)
-        lam = np.clip(np.linalg.eigvalsh(np.eye(n) - ints / norm), 0.0, 1.0)
-        above = np.zeros((len(ints), n + 1))
-        above[:, 0] = 1.0
-        for i in range(n):
-            l = lam[:, i:i + 1]
-            above[:, 1:] = above[:, 1:] * (1 - l) + above[:, :-1] * l
-            above[:, 0] *= 1 - l[:, 0]
-        return above
-    low, k, border = ints[..., :n], ints[..., n:2 * n], ints[..., 2 * n]
-    full, full_border = total[:, :n], total[:, 2 * n]
-    cross = k - np.swapaxes(k, 1, 2)
-    # Chebyshev nodes of the second kind; c = 1 is the normalization itself
+        return np.linalg.det(total)
+    full = total[:, :n]
+    return linalg.pfaffian(_bordered(full, total[:, 2 * n]) if n % 2 else full)
+
+
+def _count_above(ints, total, n, beta):
+    """P(exactly m coordinates above s), m = 0..N, from coordinate_cdf's integrals up to s.
+
+    The chamber mass with the coordinates above s weighted by c, a degree-N
+    polynomial in c, is solved for from its values at c = cos(pi j / N).
+    """
     c = np.cos(np.pi * np.arange(n + 1) / n)
-    mats = (low[:, None] + c[1:, None, None] * cross[:, None]
-            + (c[1:] ** 2)[:, None, None] * (full - low - cross)[:, None])
-    if n % 2:
-        full = _bordered(full, full_border)
-        mats = _bordered(mats, border[:, None] + c[1:, None] * (full_border - border)[:, None])
+    if beta == 2:
+        mats = ints[:, None] + c[1:, None, None] * (total - ints)[:, None]
+        mass = np.linalg.det(mats)
+    else:
+        low, k, border = ints[..., :n], ints[..., n:2 * n], ints[..., 2 * n]
+        cross = k - np.swapaxes(k, 1, 2)
+        mats = (low[:, None] + c[1:, None, None] * cross[:, None]
+                + (c[1:] ** 2)[:, None, None] * (total[:, :n] - low - cross)[:, None])
+        if n % 2:
+            top = total[:, -1] - border
+            mats = _bordered(mats, border[:, None] + c[1:, None] * top[:, None])
+        mass = linalg.pfaffian(mats)
     vals = np.ones((len(ints), n + 1))
-    vals[:, 1:] = linalg.pfaffian(mats) / linalg.pfaffian(full)
+    vals[:, 1:] = mass / _chamber_mass(total, n, beta)
     return np.linalg.solve(np.vander(c, increasing=True), vals.T).T
 
 
-@functools.lru_cache(maxsize=8)
-def _integrand_tables(n, wall, beta, root):
-    """coordinate_cdf's grid and integrands for one law, root = sqrt((T - t) / t) (0 at t = T).
-
-    Returns (lo, h, f, cum): the grid's start and panel width, the
-    integrands at the nodes, (panels, COORDINATE_ORDER, n, d), and their
-    integrals over the first j panels, (panels + 1, n, d); d = n for
-    beta = 2, and 2n + 1 for beta = 1 (L, K and the border).  Read-only, as
-    every call for the law shares them.
-    """
-    reach = math.sqrt(8 * n) + 8.0
-    lo = 0.0 if wall else -reach
-    width = min(COORDINATE_PANEL, KERNEL_PANEL * root) if root else COORDINATE_PANEL
-    panels = math.ceil((reach - lo) / width)
+def _grid(lo, hi, width, what):
+    """(panel width, nodes, weights, weights up to each node of its panel) on [lo, hi]."""
+    panels = math.ceil((hi - lo) / width)
     if panels * COORDINATE_ORDER > COORDINATE_NODES:
-        raise ValueError("t is too close to the horizon: the kernel's scale sqrt((T - t) / t) "
-                         "= %.3g needs more than %d nodes" % (root, COORDINATE_NODES))
-    h = (reach - lo) / panels
+        raise ValueError("%s needs more than %d nodes" % (what, COORDINATE_NODES))
+    h = (hi - lo) / panels
     nodes, weights = _gl_nodes(COORDINATE_ORDER)
     q = (lo + h * np.arange(panels)[:, None] + h / 2 * (nodes + 1)).ravel()
-    w = np.tile(h / 2 * weights, panels)
-    p = _hermite_basis(n, wall, beta, q)
-    phi = np.exp(-q * q / 2)[:, None] * p
-    partial = _antiderivative_weights(nodes) * (h / 2)      # up to each node of its panel
+    return h, q, np.tile(h / 2 * weights, panels), _antiderivative_weights(nodes) * (h / 2)
+
+
+def _tables(phi, grid, root, wall, beta):
+    """Integrands f, (panels, COORDINATE_ORDER, n, d), of the basis phi on grid, and cum.
+
+    cum holds their integrals over the first j panels: phi_i phi_j for
+    beta = 2 (d = n), L, K and B of coordinate_cdf for beta = 1 (d = 2n + 1).
+    """
+    h, q, w, partial = grid
     if beta == 2:
-        f = phi[:, :, None] * p[:, None]
+        f = phi[:, :, None] * phi[:, None]
     else:
         below, above = _kernel_integrals(phi, q, w, partial, root, wall)
         border = psi(q / (math.sqrt(2) * root))[:, None] if wall and root else 1.0
         f = np.concatenate([phi[:, :, None] * below[:, None] - below[:, :, None] * phi[:, None],
                             phi[:, :, None] * above[:, None] + below[:, :, None] * phi[:, None],
                             (phi * border)[:, :, None]], axis=2)
-    f = f.reshape((panels, COORDINATE_ORDER) + f.shape[1:])
-    cum = np.cumsum(np.tensordot(h / 2 * weights, f, axes=(0, 1)), axis=0)
-    cum = np.concatenate([np.zeros((1,) + cum.shape[1:]), cum])
+    f = f.reshape((-1, COORDINATE_ORDER) + f.shape[1:])
+    cum = np.cumsum(np.tensordot(w[:COORDINATE_ORDER], f, axes=(0, 1)), axis=0)
+    return f, np.concatenate([np.zeros((1,) + cum.shape[1:]), cum])
+
+
+@functools.lru_cache(maxsize=8)
+def _integrand_tables(n, wall, beta, root):
+    """(lo, h, f, cum): grid start, panel width and _tables of phi_i = P_i e^{-x^2 / 2 beta}.
+
+    For one origin law at root = sqrt((T - t) / t); read-only, as calls share them.
+    """
+    reach = math.sqrt(8 * n) + 8.0
+    lo = 0.0 if wall else -reach
+    width = min(COORDINATE_PANEL, KERNEL_PANEL * root) if root else COORDINATE_PANEL
+    grid = _grid(lo, reach, width, "t is too close to the horizon: the kernel's scale "
+                 "sqrt((T - t) / t) = %.3g" % root)
+    phi = np.exp(-grid[1] ** 2 / (2 * beta))[:, None] * _hermite_basis(n, wall, beta, grid[1])
+    f, cum = _tables(phi, grid, root, wall, beta)
     f.flags.writeable = cum.flags.writeable = False
-    return lo, h, f, cum
+    return lo, grid[0], f, cum
+
+
+def _origin_mass(n, wall, beta):
+    """int e^{-|x|^2 / 2} |h(x)|^beta over the chamber: h_poly, or h_hat_poly behind the wall.
+
+    The origin basis's _chamber_mass at t = T, built uncached, over its
+    leading coefficients sqrt(2 / beta)^k / sqrt(k!) at the degrees
+    k = 0..N-1, or 1, 3, ..., 2N - 1 behind the wall (squared for beta = 2).
+    """
+    lead = math.prod(math.sqrt((2 / beta) ** k / math.factorial(k))
+                     for k in (range(1, 2 * n, 2) if wall else range(n)))
+    total = _integrand_tables.__wrapped__(n, wall, beta, 0.0)[3][-1]
+    return _chamber_mass(total, n, beta) / lead ** beta
 
 
 def coordinate_cdf(spec, t, s):
@@ -396,25 +424,22 @@ def coordinate_cdf(spec, t, s):
     and its class C analogue; GOE and class CI at t = T).  The result has
     shape s.shape + (N,), coordinates ascending.
 
-    In x = y / sqrt(t), with phi_i = P_i e^{-x^2/2} in the basis of
-    _hermite_basis, each law is det[P_i(x_j)]^2 e^{-|x|^2/2} (beta = 2, p)
-    or det[phi_i(x_j)] Pf[eps(x_i, x_j)] (beta = 1, g), eps the survival
+    In x = y / sqrt(t), with phi_i = P_i e^{-x^2 / 2 beta} in the basis of
+    _hermite_basis, each law is det[phi_i(x_j)]^2 (beta = 2, p) or
+    det[phi_i(x_j)] Pf[eps(x_i, x_j)] (beta = 1, g), eps the survival
     matrix entry at tau = T - t (_kernel; sgn at t = T), bordered for odd N
     by b(x) = psi(x sqrt(t / 2 tau)) behind the wall and 1 free.
     Weighting each coordinate by 1{x <= s} + c 1{x > s} makes the chamber
     integral a polynomial in c whose coefficient of c^m is P(exactly m
     coordinates above s):
 
-    * beta = 2, Andreief: det(I - B + c B), B = int_s^inf P_i P_j e^{-x^2/2},
-      a Poisson-binomial count with the eigenvalues of B as means;
+    * beta = 2, Andreief: det(G(s) + c (G(inf) - G(s))), G(s) = int^s phi_i phi_j;
     * beta = 1, de Bruijn: Pf(L + c X + c^2 R), L(s) = int^s (phi G<^T -
       G< phi^T), K(s) = int^s (phi G>^T + G< phi^T), X = K - K^T,
       R = L(inf) - L - X, with G< and G> the integrals of eps(u, y) phi(y)
       over y < u and y > u; odd N is bordered by B(s) + c (B(inf) - B(s)),
       B(s) = int^s phi b.  G comes from _kernel_integrals; at t = T it
       is G< = -Phi and G> = Phi(inf) - Phi for Phi = int^u phi.
-      The Pfaffian is taken at the N + 1 Chebyshev points c = cos(pi j / N),
-      c = 1 being the normalization, and the coefficients solved for.
 
     All integrals share one grid from lo (0 behind the wall, -reach free)
     to reach = sqrt(8N) + 8, past which no law has mass float64 can see:
@@ -449,7 +474,7 @@ def coordinate_cdf(spec, t, s):
         k = np.minimum(((xr - lo) / h).astype(int), panels - 1)
         part = _antiderivative_weights(2 * (xr - lo - h * k) / h - 1) * (h / 2)
         ints = cum[k] + np.einsum("so,so...->s...", part, f[k])
-        above[r:r + rows] = _count_above(ints, cum[-1], n, wall, beta)
+        above[r:r + rows] = _count_above(ints, cum[-1], n, beta)
     cdf = np.cumsum(above, axis=-1)[:, n - 1::-1]
     if np.abs(1 - cdf[-1]).max() > COORDINATE_ERROR:
         raise ValueError("float64 cannot resolve the law at N = %d, t = %r: the de Bruijn "
@@ -568,27 +593,25 @@ def survival_asymptotics(t, x, wall=False):
     return exact, pred, exact / pred
 
 
-def de_bruijn_check(n, kernel, x, order=80):
-    """Residual of the chamber-integral-of-determinant = Pfaffian reduction.
+def de_bruijn_check(t, x, wall=False):
+    """|Pf - survival(t, x)| / survival(t, x), de Bruijn's reduction of int km_density(t, x, .).
 
-    The determinant is km_density at t = 1/2, whose kernel is
-    exp(-(a-b)^2)/sqrt(pi): kernel "gaussian" integrates it over the full
-    line, "wall-gaussian" its reflected difference over the nonnegative
-    half-line.  n <= 3.  The integral runs to 7 past the outermost point.
-    At the default order the residual at x = (0.3, 1.1, 2.2)[:n] is 5e-16
-    (n = 3, "gaussian"), 5e-15 (n = 3, "wall-gaussian") and at most
-    1.4e-15 (n = 2, both kernels).
+    Pf is the _chamber_mass of the basis phi_i = k_1(x_i / sqrt(t), .)
+    (reflected behind the wall) with eps = sgn, on a grid from 9 below
+    min(x) / sqrt(t) (0 behind the wall) to 9 past max(x) / sqrt(t), at any
+    N.  A grid of more than COORDINATE_NODES nodes, t outside (0, inf), x
+    not a chamber point (_check_chamber) and survival 0 raise ValueError.
     """
-    if n < 1 or n > 3:
-        raise ValueError("quadrature check supports n <= 3")
-    wall = kernel == "wall-gaussian"
-    if kernel not in ("gaussian", "wall-gaussian"):
-        raise ValueError("unknown kernel %r" % (kernel,))
+    if not 0 < t < math.inf:
+        raise ValueError("need 0 < t < inf, got t = %r" % (t,))
     x = _check_chamber(x, wall)
-
-    lo = 0.0 if wall else float(x.min() - 7.0)
-    integral = chamber_integral(functools.partial(km_density, 0.5, x, wall=wall), n, lo,
-                                float(x.max() + 7.0), order=order)
-    # at t = 1/2 the survival scalings give u = x and (x_j - x_i)/sqrt(2)
-    pf = survival(0.5, x, wall)
-    return abs(integral - pf) / abs(pf)
+    surv = survival(t, x, wall)
+    if not surv > 0:
+        raise ValueError("x = %s has survival 0 at t = %r" % (x, t))
+    u = x / math.sqrt(t)
+    grid = _grid(0.0 if wall else u[0] - 9.0, u[-1] + 9.0, COORDINATE_PANEL,
+                 "the start x = %s at t = %r" % (x, t))
+    q = grid[1][:, None]
+    phi = np.exp(-(q - u) ** 2 / 2) - (np.exp(-(q + u) ** 2 / 2) if wall else 0.0)
+    total = _tables(phi / math.sqrt(2 * math.pi), grid, 0.0, wall, 1)[1][-1]
+    return abs(_chamber_mass(total, len(x), 1) - surv) / surv

@@ -4,7 +4,8 @@ Kolmogorov-Smirnov machinery (with optional evaluation grids for lattice
 observables) and the named verification suites aggregating every identity
 in the package.  The suites check the GOE/GUE spectra, the Bessel endpoint
 and the PM bridge (`rmt.pm_bridge_check`, the g law before the horizon)
-against the exact coordinate laws of `densities.coordinate_cdf`.
+against the exact coordinate laws of `densities.coordinate_cdf`, and de Bruijn's
+reduction and the Mehta integrals at N <= 6 through its tables.
 The KS statistics are computed here with numpy and the asymptotic
 critical values come from the Kolmogorov limit law
 (`scipy.special.kolmogi`), so the package imports no `scipy.stats`.
@@ -123,11 +124,11 @@ def _report(name, residual, tol, n=0, **md):
 
 def _suite_identities(samples, seed):
     from .combinatorics import LatticeConfig, scaled_survival
-    from .densities import (ModelSpec, de_bruijn_check, g_density, imhof_check,
-                            p_density, survival_asymptotics)
+    from .densities import (ModelSpec, _origin_mass, de_bruijn_check, g_density,
+                            imhof_check, p_density, survival_asymptotics)
     from .montecarlo import _philox
     from .rmt import eigen_density
-    from .special_functions import mehta_integral, mehta_integral_quadrature
+    from .special_functions import constants
 
     out = []
     rng = _philox(seed, 10)
@@ -162,12 +163,13 @@ def _suite_identities(samples, seed):
             out.append(_report("imhof_n%d%s" % (n, "_wall" if wall else ""),
                                worst[(n, wall)], 1e-8, reps))
 
-    # de Bruijn reduction
-    for n, kernel, tol in ((2, "gaussian", 1e-6), (2, "wall-gaussian", 1e-6),
-                           (3, "gaussian", 1e-4)):
-        x = np.array([0.3, 1.1, 2.2][:n])
-        out.append(_report("de_bruijn_%s_n%d" % (kernel, n),
-                           de_bruijn_check(n, kernel, x), tol))
+    # de Bruijn reduction; at t = 2 the wall Pfaffian's cancellation grows past N = 4
+    x = (0.3, 1.1, 2.2, 2.9, 3.8, 4.4)
+    for name, t, walls, top in (("de_bruijn_free_n6", 0.5, (False,), 6),
+                                ("de_bruijn_wall_n6", 0.5, (True,), 6),
+                                ("de_bruijn_t2_n4", 2.0, (False, True), 4)):
+        res = [de_bruijn_check(t, x[:n], wall) for wall in walls for n in range(1, top + 1)]
+        out.append(_report(name, max(res), 1e-10, metadata={"residuals": res}))
 
     # survival asymptotics sweep: error shrinks along eps = .2, .1, .05
     for n in (2, 3):
@@ -196,13 +198,14 @@ def _suite_identities(samples, seed):
                            abs(p / (math.factorial(n) * eigen_density("GUE", y, t)) - 1.0),
                            1e-10))
 
-    # Mehta integrals
-    for n in (1, 2, 3):
-        for weight in ("plain", "squared-diff-abs"):
-            closed = mehta_integral(n, 0.5, 0.5, weight=weight)
-            quad = mehta_integral_quadrature(n, 0.5, 0.5, weight=weight)
-            out.append(_report("mehta_%s_n%d" % (weight, n),
-                               abs(quad / closed - 1.0), 1e-6))
+    # Mehta integrals: each origin constant is n! (2^n n! behind the wall) over
+    # the mehta_integral of its law, so it times the law's chamber mass is 1
+    for n in range(1, 7):
+        consts = constants(n)
+        res = {name: abs(getattr(consts, name) * _origin_mass(n, wall, beta) - 1.0)
+               for name, wall, beta in (("c", False, 1), ("c_prime", False, 2),
+                                        ("c_hat", True, 1), ("c_hat_prime", True, 2))}
+        out.append(_report("mehta_n%d" % n, max(res.values()), 1e-12, metadata=res))
 
     # lattice survival vs scaling prediction; the wall run keeps the start
     # proportional to the scale (the discrete boundary shifts fixed starts

@@ -1,8 +1,7 @@
-"""Tensor Gauss-Legendre quadrature over ordered (Weyl chamber) regions.
+"""Tensor Gauss-Legendre quadrature over ordered (Weyl chamber) regions, up to three dimensions.
 
-Supports up to three dimensions: the brute-force reference for the checks
-that the package otherwise reduces to one-dimensional integrals
-(`densities.coordinate_cdf` gives every coordinate law at any N).
+It serves `verify`'s N = 2 normalization checks, which must integrate the density code itself,
+and the tests' references; `densities.coordinate_cdf`'s tables do every other chamber integral.
 """
 
 import numpy as np

@@ -2,7 +2,10 @@
 
 Holds the Gaussian mass function psi, the two-rectangle wall kernel
 psi_hat, the Vandermonde-type chamber polynomials, the model constants,
-and the two Mehta-type Gaussian integrals.
+and the closed forms of the two Mehta-type Gaussian integrals behind them.
+`verify` checks those closed forms against the chamber masses of
+`densities.coordinate_cdf`'s origin bases, at the parameters the
+constants use.
 """
 
 import math
@@ -19,7 +22,6 @@ __all__ = [
     "ModelConstants",
     "constants",
     "mehta_integral",
-    "mehta_integral_quadrature",
 ]
 
 
@@ -206,32 +208,4 @@ def mehta_integral(n, gamma, a, weight="plain"):
             for j in range(1, n + 1)
         )
         return math.exp(lg)
-    raise ValueError("unknown weight %r" % (weight,))
-
-
-def mehta_integral_quadrature(n, gamma, a, weight="plain"):
-    """Numeric left-hand side of mehta_integral, n <= 3.
-
-    Integrates over the ordered sector (times n!) where the integrand is
-    smooth, with tensor Gauss-Legendre of order 80, cut at 9 standard
-    deviations.
-    """
-    if n > 3:
-        raise ValueError("quadrature only supported for n <= 3")
-    from .quadrature import chamber_integral
-
-    if weight == "plain":
-        def f(u):
-            return np.exp(-a * np.sum(u ** 2, axis=-1)) * np.abs(h_poly(u)) ** (2 * gamma)
-
-        cut = 9.0 * math.sqrt(1.0 / (2 * a))
-        return chamber_integral(f, n, -cut, cut) * math.factorial(n)
-    if weight == "squared-diff-abs":
-        def f(u):
-            return (np.exp(-0.5 * np.sum(u ** 2, axis=-1)) * np.abs(h_poly(u ** 2)) ** (2 * gamma)
-                    * np.prod(np.abs(u) ** (2 * a - 1), axis=-1))
-
-        # the integrand is even in each coordinate: integrate over the positive
-        # ordered sector and multiply by 2^n n!
-        return chamber_integral(f, n, 0.0, 9.0) * math.factorial(n) * 2 ** n
     raise ValueError("unknown weight %r" % (weight,))

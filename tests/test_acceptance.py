@@ -18,10 +18,11 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import qmc
 
+from tensor_references import MEHTA_LAWS
 from viciouskit.cli import main as cli_main
 from viciouskit.combinatorics import (LatticeConfig, count_paths, oracle_count_dp,
                                       survival_probability)
-from viciouskit.densities import (ModelSpec, coordinate_cdf, de_bruijn_check,
+from viciouskit.densities import (ModelSpec, _origin_mass, coordinate_cdf, de_bruijn_check,
                                   g_density, imhof_check, p_density, survival,
                                   survival_asymptotics)
 from viciouskit.harness import walker_gap_cdf
@@ -29,8 +30,7 @@ from viciouskit.montecarlo import (SimConfig, endpoint_values, noncollision_mc,
                                    simulate_sde, simulate_walkers)
 from viciouskit.quadrature import ordered_grid
 from viciouskit.rmt import eigen_density, pm_bridge_check, sample_ensemble
-from viciouskit.special_functions import (mehta_integral,
-                                          mehta_integral_quadrature, psi)
+from viciouskit.special_functions import mehta_integral, psi
 
 KS_1PCT = float(sps.kstwobign.isf(0.01))     # asymptotic 1% critical coefficient
 
@@ -255,23 +255,30 @@ def test_criterion_08_small_configuration_asymptotics():
 
 
 def test_criterion_09_integral_reduction_identity():
-    r2g = de_bruijn_check(2, "gaussian", np.array([0.3, 1.1]))
-    r2w = de_bruijn_check(2, "wall-gaussian", np.array([0.3, 1.1]))
-    r3 = de_bruijn_check(3, "gaussian", np.array([0.3, 1.1, 2.2]))
-    ok = r2g < 1e-6 and r2w < 1e-6 and r3 < 1e-4
+    # de Bruijn's Pfaffian of the km_density chamber integral against the
+    # closed-form survival: N <= 6 at t = 1/2, N <= 4 at t = 2
+    x = (0.3, 1.1, 2.2, 2.9, 3.8, 4.4)
+    worst = {}
+    for t, sizes in ((0.5, range(1, 7)), (2.0, range(1, 5))):
+        for wall in (False, True):
+            worst[t, wall] = max(de_bruijn_check(t, x[:n], wall) for n in sizes)
     _verdict(9, "chamber integral of determinant reduces to a Pfaffian",
-             ok, "n2 %.1e, n2 wall %.1e (<1e-6), n3 %.1e (<1e-4)" % (r2g, r2w, r3))
+             max(worst.values()) < 1e-10,
+             ", ".join("t=%g%s %.1e" % (t, " wall" if wall else "", r)
+                       for (t, wall), r in worst.items()) + " (<1e-10)")
 
 
 def test_criterion_10_gaussian_ensemble_integrals():
+    # the closed forms of constants() against the chamber masses of
+    # coordinate_cdf's four origin bases, N <= 6
     worst = 0.0
-    for n in (1, 2, 3):
-        for weight in ("plain", "squared-diff-abs"):
-            closed = mehta_integral(n, 0.5, 0.5, weight=weight)
-            quad = mehta_integral_quadrature(n, 0.5, 0.5, weight=weight)
-            worst = max(worst, abs(quad / closed - 1.0))
-    _verdict(10, "closed-form Gaussian ensemble integrals vs quadrature",
-             worst < 1e-6, "max rel %.1e (<1e-6)" % worst)
+    for n in range(1, 7):
+        for (wall, beta), (weight, gamma, a) in MEHTA_LAWS.items():
+            closed = mehta_integral(n, gamma, a, weight=weight)
+            mass = _origin_mass(n, wall, beta) * math.factorial(n) * 2 ** (n * wall)
+            worst = max(worst, abs(mass / closed - 1.0))
+    _verdict(10, "closed-form Gaussian ensemble integrals vs de Bruijn/Andreief masses",
+             worst < 1e-12, "max rel %.1e (<1e-12)" % worst)
 
 
 def test_criterion_11_interpolating_ensemble_bridge():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from tensor_references import km_chamber_integral
 from viciouskit.densities import (ModelSpec, _survival_matrix, coordinate_cdf, de_bruijn_check,
                                   drift, drift_batch, g_density, imhof_check, km_density,
                                   p_density, survival, survival_asymptotics, survival_batch)
@@ -303,10 +304,28 @@ def test_survival_asymptotics_sweep(wall):
 
 @pytest.mark.parametrize("n,kernel,tol", [(1, "gaussian", 1e-10), (2, "gaussian", 1e-6),
                                           (2, "wall-gaussian", 1e-6),
-                                          (3, "gaussian", 1e-4)])
+                                          (3, "gaussian", 1e-4), (3, "wall-gaussian", 1e-4)])
 def test_de_bruijn_reduction(n, kernel, tol):
+    # the chamber integral of km_density at t = 1/2, by tensor quadrature (to
+    # tol) and by de Bruijn's Pfaffian over coordinate_cdf's tables, is the
+    # closed-form survival
     x = np.array([0.3, 1.1, 2.2][:n])
-    assert de_bruijn_check(n, kernel, x) < tol
+    wall = kernel == "wall-gaussian"
+    assert km_chamber_integral(x, wall) == pytest.approx(survival(0.5, x, wall), rel=tol)
+    assert de_bruijn_check(0.5, x, wall) < 1e-12
+
+
+def test_de_bruijn_check_rejects_bad_starts():
+    # a start whose grid outgrows COORDINATE_NODES is refused, not left to run
+    with pytest.raises(ValueError, match="needs more than"):
+        de_bruijn_check(0.5, [0.0, 1e4])
+    for x, wall in (([1.0, 0.5], False), ([0.5, 0.5], False), ([0.5, 0.5], True),
+                    ([-0.1, 0.5], True), ([0.0, 0.5], True)):
+        with pytest.raises(ValueError):
+            de_bruijn_check(0.5, x, wall)
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"\bt = "):
+            de_bruijn_check(t, [0.3, 1.1])
 
 
 def test_g_density_chapman_kolmogorov_from_origin():

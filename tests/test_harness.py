@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -103,3 +105,13 @@ def test_verify_suite_combinatorics_all_pass():
     assert reports
     assert all(r.verdict == "pass" for r in reports)
     assert all(isinstance(r.as_dict()["statistic"], float) for r in reports)
+
+
+def test_verify_all_runs_the_pinned_checks():
+    # the benchmark's verify workload requires this count and a clean pass;
+    # perfbench/pins.json is only read here
+    pins = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                       / "perfbench" / "pins.json").read_text())
+    reports = verify_suite("all", 1000, seed=pins["verify_seed_pool"][0])
+    assert len(reports) == pins["verify_checks"]
+    assert [r.test_name for r in reports if r.verdict != "pass"] == []

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tensor_references import km_chamber_integral
 from viciouskit import quadrature
-from viciouskit.densities import de_bruijn_check
+from viciouskit.densities import survival
 from viciouskit.quadrature import chamber_integral, ordered_grid
 
 
@@ -60,12 +61,14 @@ def test_chamber_integral_slabs_match_one_shot_sum(order, slab_points, monkeypat
 
 
 def test_de_bruijn_n3_memory_is_bounded():
-    # one-shot evaluation of the 120^3-point integrand peaked at 290 MiB
+    # the km_density chamber integral of de Bruijn's reduction; one-shot
+    # evaluation of the 120^3-point integrand peaked at 290 MiB
+    x = np.array([0.3, 1.1, 2.2])
     tracemalloc.start()
     try:
-        residual = de_bruijn_check(3, "gaussian", [0.3, 1.1, 2.2], order=120)
+        integral = km_chamber_integral(x, order=120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual < 1e-4
+    assert integral == pytest.approx(survival(0.5, x), rel=1e-4)
     assert peak < 128 * 2 ** 20

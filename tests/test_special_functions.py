@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from viciouskit.special_functions import (constants, h_hat_poly, h_poly,
-                                          mehta_integral,
-                                          mehta_integral_quadrature, psi,
+from tensor_references import MEHTA_LAWS, mehta_integral_quadrature
+from viciouskit.densities import _origin_mass
+from viciouskit.special_functions import (constants, h_hat_poly, h_poly, mehta_integral, psi,
                                           psi_hat)
 
 
@@ -139,9 +139,18 @@ def test_constants_match_gamma_products(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("weight", ["plain", "squared-diff-abs"])
 def test_mehta_integrals_match_quadrature(n, weight):
-    closed = mehta_integral(n, 0.5, 0.5, weight=weight)
-    quad = mehta_integral_quadrature(n, 0.5, 0.5, weight=weight)
-    assert quad == pytest.approx(closed, rel=1e-6)
+    # the closed forms at (1/2, 1/2) and at the parameters of constants(),
+    # and there the chamber masses of coordinate_cdf's origin bases, against
+    # tensor quadrature
+    wall = weight == "squared-diff-abs"
+    pairs = {(0.5, 0.5): None}
+    pairs.update({(gamma, a): beta for (w, beta), (_, gamma, a) in MEHTA_LAWS.items() if w == wall})
+    for (gamma, a), beta in pairs.items():
+        quad = mehta_integral_quadrature(n, gamma, a, weight=weight)
+        assert mehta_integral(n, gamma, a, weight=weight) == pytest.approx(quad, rel=1e-6)
+        if beta:
+            mass = _origin_mass(n, wall, beta) * math.factorial(n) * 2 ** (n * wall)
+            assert mass == pytest.approx(quad, rel=1e-6)
 
 
 def test_mehta_integral_rejects_bad_input():
