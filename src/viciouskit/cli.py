@@ -53,6 +53,8 @@ def _positive_float(text):
 def _increasing_floats(text):
     """A continuum configuration: reals in strictly increasing order."""
     x = tuple(float(v) for v in text.split(","))
+    if not all(map(math.isfinite, x)):
+        raise argparse.ArgumentTypeError("positions must be finite, got %r" % text)
     if any(not b > a for a, b in zip(x, x[1:])):
         raise argparse.ArgumentTypeError("positions must be strictly increasing, got %r" % text)
     return x
@@ -322,15 +324,16 @@ def _input_error(args):
             if time_lattice(args.scale, args.horizon) < 1:
                 return ("argument --horizon: gives zero lattice steps at --scale %d; "
                         "need scale^2 * horizon >= 2, got %r" % (args.scale, args.horizon))
-        if args.model != "walker" and args.time is not None:
-            from .montecarlo import HORIZON_GUARD
+        if args.model != "walker":
+            from .montecarlo import _sde_grid
 
+            if not math.isfinite(args.step):
+                return "argument --step: must be finite, got %r" % args.step
             horizon = args.horizon if args.model == "sde-g" else math.inf
-            lo = 0.0 if args.at else min(1e-3 * horizon, args.step)   # simulate_sde's t0
-            hi = horizon * (1.0 - HORIZON_GUARD)
-            if not (lo < args.time <= hi and math.isfinite(args.time)):
-                return ("argument --time: must be finite and in (%r, %r] for --model %s, "
-                        "got %r" % (lo, hi, args.model, args.time))
+            try:
+                _sde_grid(args.model, horizon, args.step, args.time, not args.at)
+            except ValueError as exc:
+                return "argument --time: %s for --model %s" % (exc, args.model)
     return None
 
 

@@ -54,6 +54,8 @@ def _check_chamber(x, wall, name="x"):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("%s must be a single configuration" % name)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("%s must be finite, got %s" % (name, x))
     if np.any(np.diff(x) <= 0):
         raise ValueError("%s must be strictly increasing" % name)
     if wall and x[0] < 0:
@@ -162,7 +164,9 @@ def survival(t, x, wall=False):
 def survival_batch(t, xs, wall=False):
     """Non-collision probability of each configuration along the last axis of xs.
 
-    One batched Pfaffian of the pair-kernel matrices, for every N.
+    One batched Pfaffian of the pair-kernel matrices, for every N, clipped
+    to [0, 1]: near-coincident walkers cancel the Pfaffian to rounding
+    noise, which can fall below 0.
     """
     xs = np.asarray(xs, dtype=float)
     if t < 0:
@@ -170,7 +174,8 @@ def survival_batch(t, xs, wall=False):
     if t == 0:
         return np.ones(xs.shape[:-1])
     a = _survival_matrix(t, xs, wall)[0]
-    return linalg.pfaffian(np.moveaxis(a, -1, 0)).reshape(xs.shape[:-1])
+    pf = linalg.pfaffian(np.moveaxis(a, -1, 0)).reshape(xs.shape[:-1])
+    return np.clip(pf, 0.0, 1.0)
 
 
 def g_density(spec, s, x, t, y):

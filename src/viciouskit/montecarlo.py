@@ -1,9 +1,11 @@
 """Stochastic engines for the nonintersecting walk and diffusion families.
 
-Rejection-conditioned lattice walkers, Euler-Maruyama integration of the
-conditioned SDEs (free and wall variants, finite and infinite horizon),
-Brownian non-collision estimates, and endpoint extraction for the
-statistics harness.
+Rejection-conditioned lattice walkers; the two-matrix process, which draws
+every origin law and the finite-horizon (g) paths from the origin exactly
+at every recorded time; Euler-Maruyama integration of the conditioned SDEs
+from interior starts and of the h-transform (p) family (free and wall
+variants); Brownian non-collision estimates; and endpoint extraction for
+the statistics harness.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ HALVING_BUDGET = 20
 HORIZON_GUARD = 1e-4      # g-family integration stops at T * (1 - guard)
 MAX_GRID_COLUMNS = 65
 ROUND_ENTRIES = 1 << 21   # step entries drawn per round, walkers and Brownian tuples
+MATRIX_ENTRIES = ROUND_ENTRIES // 16   # eigensolve entries per block of origin g paths
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,12 @@ class SimConfig:
 
     model: "walker", "sde-g" (finite horizon), or "sde-p" (h-transform).
     start: LatticeConfig for walkers; an interior configuration or None
-    (degenerate origin start, realized by an exact warm-start draw) for the
-    SDE modes.  t_end applies to the SDE modes only; the g-family default
-    is the guarded horizon.
+    (degenerate origin start) for the SDE modes.  sde-g origin starts are
+    exact at every recorded time, and step sets only their time grid;
+    sde-p origin starts begin with an exact draw at t0 = step, and every
+    other SDE run is Euler-Maruyama with step as its step.  t_end applies
+    to the SDE modes only; the g-family default is the guarded horizon.
+    step and t_end must be finite.
     """
 
     model: str
@@ -58,8 +64,10 @@ class SimConfig:
             raise ValueError("unknown model %r" % (self.model,))
         if self.samples < 1 or self.streams < 1 or self.scale < 1:
             raise ValueError("need samples >= 1, streams >= 1, scale >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError("step must be positive and finite, got %r" % (self.step,))
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite, got %r" % (self.t_end,))
         if self.model == "walker":
             if not isinstance(self.start, LatticeConfig):
                 raise ValueError("walker mode requires a LatticeConfig start")
@@ -230,46 +238,77 @@ def simulate_walkers(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Exact origin-law samplers (warm starts)
+# The two-matrix process: exact origin laws and origin-start g paths
 #
-# One two-matrix builder draws every origin law, free or behind the wall, at
-# any horizon: one eigensolve per draw and no rejection.  It also serves
+# One builder draws every origin law, free or behind the wall, at any
+# horizon, and the g family's paths from the origin: one eigensolve per
+# recorded time and no rejection.  Its one-column case also serves
 # rmt.sample_ensemble.
 
 
-def _two_matrix_spectra(rng, n, gue_var, goe_var, draws, wall=False):
-    """Ascending spectra of GUE(gue_var) + GOE(goe_var), draws of them.
+def _two_matrix_spectra(rng, n, steps, draws, wall=False, out=None):
+    """Ascending spectra of a two-matrix process after each step, shape (draws, n, len(steps)).
 
-    Under the trace weight exp{-Tr H^2 / (2 sigma^2)} the real symmetric
-    part has diagonal variance sigma^2 and off-diagonal sigma^2/2; the
-    Hermitian part has real and imaginary off-diagonal parts of variance
-    sigma^2/2 each.  The GUE part is drawn first; a zero variance draws
-    nothing, so GOE alone takes the real eigensolver.
+    The process starts at the zero matrix.  Step (keep, gue_var, goe_var)
+    scales its imaginary part by keep, adds GUE(gue_var) + GOE(goe_var)
+    and records the spectrum, in out if given.  Under the trace weight
+    exp{-Tr H^2 / (2 sigma^2)} the real symmetric part has diagonal
+    variance sigma^2 and off-diagonal sigma^2/2; the Hermitian part has
+    real and imaginary off-diagonal parts of variance sigma^2/2 each.  The
+    GUE part is drawn first; a zero variance draws nothing, so GOE alone
+    from the zero matrix takes the real eigensolver.
 
     wall=True draws the class C matrix H = [[A, B], [B^H, -A^T]] of size 2n
     (Altland-Zirnbauer), A Hermitian and B complex symmetric, under
     exp{-Tr H^2 / (4 sigma^2)}, with the same variances as above: real parts
     gue_var + goe_var, imaginary parts gue_var.  Its n positive eigenvalues
-    are returned.  Without imaginary part it is class CI.
+    are recorded.  Without imaginary part it is class CI.
     """
     blocks = 2 if wall else 1
     size = (draws, blocks, n, n)
     # A = (g + g^H)/2 and B = (g + g^T)/2: the transpose flips the sign of
     # the imaginary part in A only
     conj = np.array([-1.0, 1.0][:blocks])[:, None, None]
+    if out is None:
+        out = np.empty((draws, n, len(steps)))
     mats = 0.0
-    if gue_var > 0:
-        x = rng.normal(scale=math.sqrt(gue_var), size=size)
-        y = rng.normal(scale=math.sqrt(gue_var), size=size)
-        mats = mats + (x + 1j * y + np.swapaxes(x + 1j * (conj * y), 2, 3)) / 2.0
-    if goe_var > 0:
-        g = rng.normal(scale=math.sqrt(goe_var), size=size)
-        mats = mats + (g + np.swapaxes(g, 2, 3)) / 2.0
-    if not wall:
-        return np.linalg.eigvalsh(mats[:, 0])
-    a, b = mats[:, 0], mats[:, 1]
-    h = np.block([[a, b], [np.conj(np.swapaxes(b, 1, 2)), -np.swapaxes(a, 1, 2)]])
-    return np.linalg.eigvalsh(h)[:, n:]
+    for c, (keep, gue_var, goe_var) in enumerate(steps):
+        if np.iscomplexobj(mats):
+            mats.imag *= keep
+        if gue_var > 0:
+            x = rng.normal(scale=math.sqrt(gue_var), size=size)
+            y = rng.normal(scale=math.sqrt(gue_var), size=size)
+            mats = mats + (x + 1j * y + np.swapaxes(x + 1j * (conj * y), 2, 3)) / 2.0
+        if goe_var > 0:
+            g = rng.normal(scale=math.sqrt(goe_var), size=size)
+            mats = mats + (g + np.swapaxes(g, 2, 3)) / 2.0
+        if wall:
+            a, b = mats[:, 0], mats[:, 1]
+            h = np.block([[a, b], [np.conj(np.swapaxes(b, 1, 2)), -np.swapaxes(a, 1, 2)]])
+            out[..., c] = np.linalg.eigvalsh(h)[:, n:]
+        else:
+            out[..., c] = np.linalg.eigvalsh(mats[:, 0])
+    return out
+
+
+def _bridge_steps(times, horizon):
+    """Steps of _two_matrix_spectra from 0 through the increasing times: the g family's process.
+
+    Real parts are a matrix Brownian motion and imaginary parts a Brownian
+    bridge pinned to 0 at the horizon T, of variances t and t (T - t) / T
+    at time t.  Over [s, t], with d = t - s and r = T - s, the bridge keeps
+    1 - d / r of its value and GUE(d (1 - d / r)) + GOE(d^2 / r) is added:
+    real parts gain variance d, and imaginary parts end at variance
+    t (T - t) / T.  From s = 0 this is sample_origin_law's draw at t,
+    GUE(t (1 - t / T)) + GOE(t t / T), operation for operation.
+    """
+    steps, s = [], 0.0
+    for t in times:
+        d, r = t - s, horizon - s
+        keep = 1 - d / r
+        steps.append((keep, d * keep, d * d / r))
+        s = t
+    return steps
 
 
 def sample_origin_law(spec, t, samples, rng):
@@ -283,12 +322,33 @@ def sample_origin_law(spec, t, samples, rng):
     """
     if not (0 < t <= spec.horizon):
         raise ValueError("need 0 < t <= horizon")
-    return _two_matrix_spectra(rng, spec.n_walkers, t * (1 - t / spec.horizon),
-                               t * t / spec.horizon, samples, spec.wall)
+    return _two_matrix_spectra(rng, spec.n_walkers, _bridge_steps([t], spec.horizon),
+                               samples, spec.wall)[..., 0]
 
 
 # ---------------------------------------------------------------------------
-# SDE integration
+# SDE paths
+
+
+def _sde_grid(model, horizon, step, t_end, origin):
+    """(times, cols) of an SDE run: its time grid and the indices of its recorded times.
+
+    Origin starts begin at t0 = min(1e-3 * horizon, step), interior starts
+    at 0.  The g family ends by default at horizon * (1 - HORIZON_GUARD),
+    where its drift blows up, and may not end later; the p family ends by
+    default at 1.  The grid has ceil((t_end - t0) / step) uniform steps,
+    and cols = _grid_columns of that count.  An end time that is not finite
+    or not in (t0, the guarded horizon] raises ValueError.
+    """
+    hi = horizon * (1.0 - HORIZON_GUARD)
+    if t_end is None:
+        t_end = hi if model == "sde-g" else 1.0
+    t0 = min(1e-3 * horizon, step) if origin else 0.0
+    if not (t0 < t_end <= hi + 1e-12 and math.isfinite(t_end)):
+        raise ValueError("end time must be finite and in (%r, %r], got %r" % (t0, hi, t_end))
+    n_steps = max(int(math.ceil((t_end - t0) / step)), 1)
+    times = t0 + (t_end - t0) * np.arange(n_steps + 1) / n_steps
+    return times, _grid_columns(n_steps)
 
 
 def _em_advance(spec, x, t, dt, rng, depth=HALVING_BUDGET):
@@ -313,52 +373,56 @@ def _em_advance(spec, x, t, dt, rng, depth=HALVING_BUDGET):
 
 
 def simulate_sde(cfg):
-    """Euler-Maruyama paths of the conditioned diffusion.
+    """Paths of the conditioned diffusion at the recorded times of its grid (_sde_grid).
 
-    Origin starts are replaced by an exact draw from the closed-form law at
-    t0 = step (g-family: 1e-3 * horizon); the g-family integrates only up
-    to horizon*(1 - 1e-4) where its drift blows up.  Strict ordering (and
-    wall positivity) holds at every recorded time by construction.
+    g-family origin starts are exact at every recorded time: the eigenvalue
+    path (the positive half behind the wall) of the g family's matrix
+    process (_bridge_steps), one eigensolve per recorded time, so step sets
+    only the grid.  They advance in blocks of at most MATRIX_ENTRIES
+    eigensolve entries, written straight into the output, so memory beyond
+    the output does not grow with samples.  Every other run is
+    Euler-Maruyama over the grid's steps, with halving (_em_advance): from
+    the start, or for p-family origin starts from an exact draw of the
+    origin law at t0 = step.  Strict ordering (and wall positivity) holds
+    at every recorded time.
     """
     if cfg.model not in ("sde-g", "sde-p"):
         raise ValueError("simulate_sde requires an SDE mode")
     spec = cfg.spec
     n, T = spec.n_walkers, spec.horizon
-    if cfg.model == "sde-g":
-        t_end = cfg.t_end if cfg.t_end is not None else T * (1.0 - HORIZON_GUARD)
-        if not (t_end <= T * (1.0 - HORIZON_GUARD) + 1e-12):
-            raise ValueError("g-family end time must stay below the horizon guard")
-    else:
-        t_end = cfg.t_end if cfg.t_end is not None else 1.0
-    t0 = min(1e-3 * T, cfg.step) if cfg.start is None else 0.0
-    if t_end <= t0:
-        raise ValueError("end time must exceed the warm-start time")
+    origin = cfg.start is None
+    if not origin:
+        x0 = np.asarray(cfg.start, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("SDE start must be finite, got %s" % (x0,))
+        if np.any(np.diff(x0) <= 0) or (spec.wall and x0[0] <= 0):
+            raise ValueError("SDE start must be strictly interior")
+    times, cols = _sde_grid(cfg.model, T, cfg.step, cfg.t_end, origin)
+    exact = origin and cfg.model == "sde-g"
+    if exact:
+        steps = _bridge_steps(times[cols], T)
+        block = max(MATRIX_ENTRIES // (2 * n if spec.wall else n) ** 2, 1)
 
-    n_steps = max(int(math.ceil((t_end - t0) / cfg.step)), 1)
-    times = t0 + (t_end - t0) * np.arange(n_steps + 1) / n_steps
-    cols = _grid_columns(n_steps)
-
-    quotas = _stream_quotas(cfg.samples, cfg.streams)
-    blocks = []
-    for s, quota in enumerate(quotas):
+    paths = np.empty((cfg.samples, n, len(cols)))
+    got = 0
+    for s, quota in enumerate(_stream_quotas(cfg.samples, cfg.streams)):
         rng = _philox(cfg.seed, s)
-        if cfg.start is None:
-            x = sample_origin_law(spec, t0, quota, rng)
+        rows = paths[got:got + quota]
+        got += quota
+        if exact:
+            for b in range(0, quota, block):
+                k = min(block, quota - b)
+                _two_matrix_spectra(rng, n, steps, k, spec.wall, out=rows[b:b + k])
         else:
-            x0 = np.asarray(cfg.start, dtype=float)
-            if np.any(np.diff(x0) <= 0) or (spec.wall and x0[0] <= 0):
-                raise ValueError("SDE start must be strictly interior")
-            x = np.broadcast_to(x0, (quota, n)).copy()
-        rec = np.empty((quota, n, len(cols)))
-        rec[:, :, 0] = x
-        ptr = 1
-        for k in range(n_steps):
-            x = _em_advance(spec, x, times[k], times[k + 1] - times[k], rng)
-            if cols[ptr] == k + 1:
-                rec[:, :, ptr] = x
-                ptr += 1
-        blocks.append(rec)
-    paths = np.concatenate(blocks, axis=0)
+            x = (sample_origin_law(spec, times[0], quota, rng) if origin
+                 else np.broadcast_to(x0, (quota, n)).copy())
+            rows[:, :, 0] = x
+            ptr = 1
+            for k in range(len(times) - 1):
+                x = _em_advance(spec, x, times[k], times[k + 1] - times[k], rng)
+                if cols[ptr] == k + 1:
+                    rows[:, :, ptr] = x
+                    ptr += 1
     assert np.all(paths[:, 1:, :] > paths[:, :-1, :]), "chamber order violated"
     if spec.wall:
         assert np.all(paths[:, 0, :] > 0), "wall positivity violated"
@@ -418,6 +482,8 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     n = len(x)
     if n == 0 or samples < 1 or not step > 0 or not 0 <= t < math.inf:
         raise ValueError("need a nonempty start, samples >= 1, step > 0 and finite t >= 0")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("start x must be finite, got %s" % (x,))
     if np.any(np.diff(x) <= 0) or (wall and x[0] <= 0):
         raise ValueError("start must be an interior chamber point")
     if t == 0:

@@ -41,8 +41,8 @@ def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
     the Hermitian one has real and imaginary off-diagonal parts of variance
     sigma^2/2 each.  kind="PM" draws the matrix convolution
     GUE(2 alpha^2 v^2) + GOE(2 (1-alpha^2) v^2), v^2 = 1/(2 (1+alpha^2)).
-    Every kind is one (GUE, GOE) variance pair of the two-matrix builder
-    that also gives montecarlo.sample_origin_law its draws.
+    Every kind is one (GUE, GOE) variance pair, one step of the two-matrix
+    process that also gives montecarlo.sample_origin_law its draws.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
@@ -60,7 +60,7 @@ def sample_ensemble(kind, n, variance=1.0, alpha=None, samples=1000, seed=0):
         goe_var = 2.0 * (1.0 - alpha ** 2) * v2 * variance
     else:
         raise ValueError("unknown ensemble %r" % (kind,))
-    eig = _two_matrix_spectra(_philox(seed, 0), n, gue_var, goe_var, samples)
+    eig = _two_matrix_spectra(_philox(seed, 0), n, [(1.0, gue_var, goe_var)], samples)[..., 0]
     return SpectrumSample(ensemble=kind, variance=variance, alpha=alpha, eigenvalues=eig, seed=seed)
 
 

@@ -165,6 +165,9 @@ def test_lattice_time_must_be_a_step_count(argv, capsys):
     (["simulate", "--model", "sde-p", "--time", "inf", "--samples", "3"], "--time"),
     (["count", "--start", "0,2", "--end", "0"], "--end"),
     (["simulate", "--scale", "1", "--horizon", "0.5", "--samples", "3"], "--horizon"),
+    (["survival", "--at", "0,inf"], "--at"),
+    (["simulate", "--model", "sde-p", "--at", "nan,1", "--samples", "3"], "--at"),
+    (["simulate", "--model", "sde-g", "--step", "inf", "--samples", "3"], "--step"),
 ])
 def test_bad_outside_input_names_the_flag(argv, flag, capsys):
     # not a library traceback with exit 1, nor (an unordered --at) the density at

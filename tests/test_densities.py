@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from tensor_references import km_chamber_integral
+from viciouskit import linalg
 from viciouskit.densities import (ModelSpec, _survival_matrix, coordinate_cdf, de_bruijn_check,
                                   drift, drift_batch, g_density, imhof_check, km_density,
                                   p_density, survival, survival_asymptotics, survival_batch)
@@ -76,6 +77,27 @@ def test_survival_monotone_in_time():
     x = np.array([0.0, 0.7, 2.0])
     vals = [survival(t, x) for t in (0.1, 0.5, 2.0, 10.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("t", [0.8, 1.0])
+def test_survival_is_a_probability_at_near_collision(t):
+    # behind the wall at N=4 the Pfaffian at a near-coincident pair cancels
+    # to rounding noise below 0 (-7.4e-19 at t = 0.8, -2.6e-18 at t = 1)
+    x = np.array([0.5, 1.0, 1.0 + 1e-15, 2.0])
+    assert 0.0 <= survival_batch(t, x, True) <= 1.0
+    assert 0.0 <= survival(t, x, True) <= 1.0
+
+
+def test_survival_clip_keeps_in_range_values():
+    # the clip to [0, 1] leaves every value the Pfaffian gives inside it, bit for bit
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    for n in (2, 3, 4, 5):
+        for wall in (False, True):
+            xs = np.sort(rng.random((200, n)) * 3 + (0.01 if wall else -1.0), axis=1)
+            raw = linalg.pfaffian(np.moveaxis(_survival_matrix(0.6, xs, wall)[0], -1, 0))
+            inside = (raw >= 0) & (raw <= 1)
+            assert inside.mean() > 0.9
+            assert np.array_equal(survival_batch(0.6, xs, wall)[inside], raw[inside])
 
 
 @pytest.mark.parametrize("wall", [False, True])

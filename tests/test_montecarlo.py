@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 from scipy import stats as sps
 
 from viciouskit.combinatorics import LatticeConfig, count_paths, survival_probability
-from viciouskit.densities import ModelSpec, coordinate_cdf, survival, survival_batch
+from viciouskit.densities import (ModelSpec, coordinate_cdf, g_density, survival,
+                                  survival_batch)
 from viciouskit.harness import ks_test, ks_two_sample
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
                                    _two_matrix_spectra, endpoint_values, noncollision_mc,
@@ -294,8 +296,8 @@ def test_free_origin_law_n4_matches_thinned_goe(t):
 def test_free_origin_law_is_one_two_matrix_draw():
     # no rejection: the draw is GUE(t(T-t)/T) + GOE(t^2/T) spectra, bit for bit
     y = sample_origin_law(ModelSpec(5, horizon=1.0), 0.5, 2000, _philox(7, 0))
-    ref = _two_matrix_spectra(_philox(7, 0), 5, 0.5 * (1 - 0.5), 0.25, 2000)
-    assert np.array_equal(y, ref)
+    ref = _two_matrix_spectra(_philox(7, 0), 5, [(1.0, 0.5 * (1 - 0.5), 0.25)], 2000)
+    assert np.array_equal(y, ref[..., 0])
 
 
 def test_philox_keys_are_exact_for_every_seed():
@@ -333,6 +335,142 @@ def test_sde_ordering_is_hard():
     assert ens.time_grid[-1] <= 1.0 * (1 - 1e-4) + 1e-12
 
 
+@pytest.mark.parametrize("wall", [False, True])
+def test_origin_g_column0_is_the_origin_law(wall):
+    # each stream's first recorded column is sample_origin_law at t0, bit for bit
+    spec = ModelSpec(3, horizon=2.0, wall=wall)
+    ens = simulate_sde(SimConfig("sde-g", spec, step=0.05, samples=301, seed=23, streams=2))
+    t0 = ens.time_grid[0]
+    assert t0 == min(1e-3 * 2.0, 0.05)
+    for s, (lo, hi) in enumerate([(0, 151), (151, 301)]):
+        ref = sample_origin_law(spec, t0, hi - lo, _philox(23, s))
+        assert np.array_equal(ens.paths[lo:hi, :, 0], ref)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_origin_g_runs_no_drift(wall, monkeypatch):
+    # origin g paths come from the matrix process alone: no Euler step, no
+    # drift, one eigensolve per path and recorded time
+    import viciouskit.montecarlo as mc
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(math.prod(a.shape[:-2]))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(mc, "_em_advance", None)
+    monkeypatch.setattr(mc, "drift_batch", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ens = simulate_sde(SimConfig("sde-g", ModelSpec(2, horizon=1.0, wall=wall), step=1e-3,
+                                 samples=50, seed=24))
+    assert ens.paths.shape == (50, 2, 65)
+    assert solved == [50] * 65
+
+
+TWO_TIME_CELL = 0.004
+
+
+@functools.lru_cache(maxsize=1)
+def _meander_two_time_cdf(t1, t2):
+    """P(X(t1) <= a, X(t2) <= b) of the N=1 wall g law (T = 1) at a, b on the edges k h.
+
+    Midpoint rule over cells of width h = TWO_TIME_CELL up to 5.6: the
+    origin density at t1 times g_density's transition to t2.
+    """
+    spec = ModelSpec(1, horizon=1.0, wall=True)
+    h = TWO_TIME_CELL
+    y = (np.arange(1400) + 0.5) * h
+    first = g_density(spec, 0.0, None, t1, y[:, None])
+    joint = np.array([g_density(spec, t1, [v], t2, y[:, None]) for v in y]) * first[:, None]
+    table = np.zeros((len(y) + 1, len(y) + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(joint, axis=0), axis=1) * h * h
+    return table
+
+
+def _two_time_statistic(a, b, t1, t2):
+    """sqrt(K) max |F_emp - F| over the 16 x 16 grid of the columns' quantiles at k / 17."""
+    table, h = _meander_two_time_cdf(t1, t2), TWO_TIME_CELL
+    levels = np.arange(1, 17) / 17
+    ia = np.rint(np.quantile(a, levels) / h).astype(int)
+    ib = np.rint(np.quantile(b, levels) / h).astype(int)
+    emp = (a[:, None] <= ia * h).astype(float).T @ (b[:, None] <= ib * h) / len(a)
+    return math.sqrt(len(a)) * np.abs(emp - table[np.ix_(ia, ib)]).max()
+
+
+@pytest.mark.parametrize("case", ["wall_n1", "free_n2_gap"])
+def test_origin_g_two_time_law(case):
+    # the N=1 wall g process (the Brownian meander) and the gap of the free
+    # N=2 g process over sqrt(2) (the same process) at two recorded times,
+    # against the exact two-time law; bound fixed before the first run.  The
+    # control pairs the same columns from different paths: right marginals,
+    # independent times
+    n, wall = (1, True) if case == "wall_n1" else (2, False)
+    ens = simulate_sde(SimConfig("sde-g", ModelSpec(n, horizon=1.0, wall=wall), step=0.1,
+                                 samples=100_000, seed=25))
+    t1, t2 = ens.time_grid[4], ens.time_grid[8]
+    assert abs(t1 - 0.4) < 1e-3 and abs(t2 - 0.8) < 1e-3
+    x = ens.paths[:, 0] if wall else (ens.paths[:, 1] - ens.paths[:, 0]) / math.sqrt(2)
+    assert _two_time_statistic(x[:, 4], x[:, 8], t1, t2) < 2.5
+    shuffled = _philox(26, 0).permutation(x[:, 8])
+    assert _two_time_statistic(x[:, 4], shuffled, t1, t2) > 2.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("wall", [False, True])
+def test_origin_g_endpoint_matches_exact_law(n, wall):
+    # the last recorded column against the exact coordinate laws at
+    # t_end = 0.9; Bonferroni over the 18 coordinates of the 6 cases
+    spec = ModelSpec(n, horizon=1.0, wall=wall)
+    ens = simulate_sde(SimConfig("sde-g", spec, step=0.3, t_end=0.9, samples=20_000,
+                                 seed=27 + n + 10 * wall))
+    t = ens.time_grid[-1]
+    assert t == pytest.approx(0.9, abs=1e-12)
+    for rep in _exact_law_ks(spec, t, ens.paths[:, :, -1], 0.01 / 18):
+        assert rep.verdict == "pass", (rep.statistic, rep.critical_value)
+
+
+def test_origin_g_memory_beyond_output_is_bounded():
+    # 100k paths behind the wall at N=2, two recorded times: in one block
+    # they took 92 MiB beyond the output, in blocks 9.5 MiB
+    cfg = SimConfig("sde-g", ModelSpec(2, horizon=1.0, wall=True), step=1.0,
+                    samples=100_000, seed=28)
+    tracemalloc.start()
+    try:
+        ens = simulate_sde(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.paths.shape == (100_000, 2, 2)
+    assert peak - ens.paths.nbytes < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("start", [(0.5, 1.0), (0.3, 0.8, 1.5)])
+def test_sde_g_wall_interior_start_stays_in_the_chamber(start):
+    # Euler with the finite-horizon drift behind the wall, up to the guarded
+    # horizon where the drift blows up and steps are halved
+    ens = simulate_sde(SimConfig("sde-g", ModelSpec(len(start), horizon=1.0, wall=True),
+                                 start=np.array(start), step=1e-2, samples=50, seed=29))
+    assert ens.time_grid[-1] == pytest.approx(1.0 - 1e-4)
+    assert np.all(ens.paths[:, 1:, :] > ens.paths[:, :-1, :])
+    assert np.all(ens.paths[:, 0, :] > 0)
+
+
+def test_sde_g_wall_single_walker_endpoint_matches_density():
+    # Euler from x0 = 0.5 to t = 0.5 against 1-D quadrature of g_density;
+    # bound fixed before the first run
+    spec = ModelSpec(1, horizon=1.0, wall=True)
+    ens = simulate_sde(SimConfig("sde-g", spec, start=np.array([0.5]), step=1e-3,
+                                 t_end=0.5, samples=4000, seed=30))
+    h = 1e-3
+    y = (np.arange(6000) + 0.5) * h
+    cdf = np.append(0.0, np.cumsum(g_density(spec, 0.0, [0.5], 0.5, y[:, None])) * h)
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
+    d = sps.kstest(ens.paths[:, 0, -1], lambda v: np.interp(v, np.arange(6001) * h, cdf)).statistic
+    assert d < 1.63 / math.sqrt(4000)
+
+
 def test_sde_g_near_collision_start_beyond_three_walkers():
     cfg = SimConfig("sde-g", ModelSpec(4, horizon=1.0), start=np.array([0.0, 1.0, 1.0 + 1e-6, 3.0]),
                     t_end=0.1, step=1e-2, samples=20, seed=3)
@@ -355,6 +493,24 @@ def test_sde_determinism():
                     seed=21, streams=3)
     a, b = simulate_sde(cfg), simulate_sde(cfg)
     np.testing.assert_array_equal(a.paths, b.paths)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: survival(1.0, [math.nan, 1.0]), "x must be finite"),
+    (lambda: simulate_sde(SimConfig("sde-g", ModelSpec(2, horizon=1.0),
+                                    start=np.array([math.nan, 1.0]), samples=2)),
+     "SDE start must be finite"),
+    (lambda: simulate_sde(SimConfig("sde-p", ModelSpec(2), start=np.array([0.0, math.inf]),
+                                    samples=2)),
+     "SDE start must be finite"),
+    (lambda: noncollision_mc(1.0, [math.nan, 1.0]), "start x must be finite"),
+    (lambda: SimConfig("sde-p", ModelSpec(2), step=math.nan), "step must be positive and finite"),
+    (lambda: SimConfig("sde-p", ModelSpec(2), t_end=math.nan), "t_end must be finite"),
+    (lambda: SimConfig("sde-p", ModelSpec(2), t_end=math.inf), "t_end must be finite"),
+])
+def test_non_finite_inputs_are_named(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_noncollision_trivial_and_exact():
