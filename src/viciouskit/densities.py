@@ -117,37 +117,41 @@ def _partner_pairs(n):
     return index, sign
 
 
-def _survival_matrix(t, xs, wall):
+def _survival_matrix(t, xs, wall, grad=True):
     """Skew matrices A with Pf(A) = non-collision probability, and D = dA_kj/dx_k.
 
     xs holds configurations along its last axis and is flattened to b rows.
     A and D are batch-last, shape (d, d, b), with d = N, or N + 1 when N is
     odd (A is then bordered by a last row and column): A[:, :, r] is the
     matrix of row r.  D[k, j] is the derivative of A[k, j] in the
-    coordinate x_k, for k < N.  Both are fresh arrays, so A can go straight
-    to linalg._skew_eliminate, which overwrites it.
+    coordinate x_k, for k < N; with grad=False D is not built and is None.
+    Both are fresh arrays, so A can go straight to linalg._skew_eliminate,
+    which overwrites it.
     """
     n = xs.shape[-1]
     dim = n + n % 2
     x = xs.reshape((-1, n)).T
     a = np.zeros((dim, dim, x.shape[1]))
-    d = np.zeros(a.shape)
+    d = np.zeros(a.shape) if grad else None
     i, j = _pairs(n)
     if wall:
         root = math.sqrt(2 * t)
         u = x / root
         a[i, j] = psi_hat(u[i], u[j])
-        g1, g2 = _psi_hat_grad(u[i], u[j])
-        d[i, j] = g1 / root
-        d[j, i] = -g2 / root
         if dim > n:
             a[:n, n] = psi(u)
-            d[:n, n] = _psi_grad(u) / root
+        if grad:
+            g1, g2 = _psi_hat_grad(u[i], u[j])
+            d[i, j] = g1 / root
+            d[j, i] = -g2 / root
+            if dim > n:
+                d[:n, n] = _psi_grad(u) / root
     else:
         root = 2 * math.sqrt(t)
         z = (x[j] - x[i]) / root
         a[i, j] = psi(z)
-        d[i, j] = d[j, i] = -_psi_grad(z) / root
+        if grad:
+            d[i, j] = d[j, i] = -_psi_grad(z) / root
         if dim > n:
             a[:n, n] = 1.0
     return a - np.swapaxes(a, 0, 1), d
@@ -173,7 +177,7 @@ def survival_batch(t, xs, wall=False):
         raise ValueError("remaining time must be nonnegative")
     if t == 0:
         return np.ones(xs.shape[:-1])
-    a = _survival_matrix(t, xs, wall)[0]
+    a = _survival_matrix(t, xs, wall, grad=False)[0]
     pf = linalg.pfaffian(np.moveaxis(a, -1, 0)).reshape(xs.shape[:-1])
     return np.clip(pf, 0.0, 1.0)
 
@@ -238,7 +242,7 @@ COORDINATE_ORDER = 16     # Gauss-Legendre nodes per panel of coordinate_cdf's i
 COORDINATE_PANEL = 0.5    # widest panel, in units of sqrt(t)
 KERNEL_PANEL = 2.0        # widest panel before the horizon, in units of sqrt((T - t) / t)
 COORDINATE_NODES = 1 << 13    # most grid nodes; a finer grid is refused
-COORDINATE_ERROR = 1e-8   # largest float error of the law at the grid's end, where it is 1
+COORDINATE_ERROR = 1e-8   # largest float error of the law at the grid's ends, where it is 0, 1
 
 
 def _hermite_basis(n, wall, beta, x):
@@ -297,10 +301,18 @@ def _kernel_integrals(phi, q, w, partial, root, wall):
 
     eps is smooth across y = u, so both run over the grid's own nodes: the
     whole panels below u's, then u's panel up to u with the antiderivative
-    weights at u's node.  At root = 0 (t = T) eps = sgn(y - u), -1 in G< and
-    1 in G>.  Rows go in slabs of at most SLAB_POINTS entries.
+    weights at u's node.  At root = 0 (t = T) eps = sgn(y - u), so G< = -Phi
+    and G> = Phi(inf) - Phi for Phi(u) = int^u phi: a running sum of the
+    panel integrals plus u's own panel.  Before T rows go in slabs of at
+    most SLAB_POINTS entries.
     """
     m = COORDINATE_ORDER
+    if not root:
+        panels = phi.reshape((-1, m) + phi.shape[1:])
+        whole = np.cumsum(np.tensordot(w[:m], panels, axes=(0, 1)), axis=0)
+        prim = (partial @ panels).reshape(phi.shape)
+        prim[m:] += np.repeat(whole[:-1], m, axis=0)
+        return -prim, whole[-1] - prim
     panel = np.arange(len(q)) // m
     below, above = np.empty(phi.shape), np.empty(phi.shape)
     rows = max(SLAB_POINTS // len(q), 1)
@@ -308,8 +320,8 @@ def _kernel_integrals(phi, q, w, partial, root, wall):
         at = np.arange(r, min(r + rows, len(q)))
         pre = np.where(panel < panel[at, None], w, 0.0)
         pre.reshape(len(at), -1, m)[np.arange(len(at)), panel[at]] = partial[at % m]
-        eps = _kernel(q[at], q, root, wall) if root else 1.0
-        below[at] = (pre * eps) @ phi * (1.0 if root else -1.0)
+        eps = _kernel(q[at], q, root, wall)
+        below[at] = (pre * eps) @ phi
         above[at] = ((w - pre) * eps) @ phi
     return below, above
 
@@ -332,31 +344,63 @@ def _chamber_mass(total, n, beta):
     """
     if beta == 2:
         return np.linalg.det(total)
-    full = total[:, :n]
-    return linalg.pfaffian(_bordered(full, total[:, 2 * n]) if n % 2 else full)
+    return linalg.pfaffian(_de_bruijn_matrix(total, n))
+
+
+def _de_bruijn_matrix(total, n):
+    """L of the integrals total, bordered by B for odd N."""
+    full = total[..., :n]
+    return _bordered(full, total[..., 2 * n]) if n % 2 else full
+
+
+def _pfaffian_ratio(a, delta):
+    """Pf(a + delta) / Pf(a) for one skew matrix a and a stack of skew matrices delta.
+
+    One Parlett-Reid elimination M a M^T = B of a (linalg._skew_eliminate),
+    scaled by S so that each 2x2 block of S B S is +-[[0, 1], [-1, 0]],
+    turns the ratio into Pf(S B S + S M delta M^T S) / Pf(S B S), whose
+    pivots are near +-1 while delta is small: its rounding error then
+    shrinks with delta instead of growing with a's condition number.
+    """
+    _, pivots, m = linalg._skew_eliminate(a[..., None].copy())
+    signs = np.sign(pivots[:, 0])
+    scaled = np.repeat(np.abs(pivots[:, 0]) ** -0.5, 2)[:, None] * m[..., 0]
+    upper = np.zeros(a.shape)
+    upper[0::2, 1::2] = np.diag(signs)
+    # the products round away from skew symmetry in proportion to S M's size
+    change = scaled @ delta @ scaled.T
+    change = (change - np.swapaxes(change, -1, -2)) / 2
+    return linalg.pfaffian(upper - upper.T + change) / np.prod(signs)
 
 
 def _count_above(ints, total, n, beta):
-    """P(exactly m coordinates above s), m = 0..N, from coordinate_cdf's integrals up to s.
+    """P(exactly m coordinates above s), m = 0..N, from coordinate_cdf's integrals.
 
     The chamber mass with the coordinates above s weighted by c, a degree-N
-    polynomial in c, is solved for from its values at c = cos(pi j / N).
+    polynomial in c, is solved for from its values at c = cos(pi j / N),
+    each over the mass at c = 1.  ints are the integrals below s for
+    beta = 2 and above s for beta = 1.  There each matrix is the total's
+    plus a change that vanishes as s grows, and its Pfaffian is taken as a
+    ratio to the total's (_pfaffian_ratio), so the law stays resolved where
+    it nears 1.
     """
     c = np.cos(np.pi * np.arange(n + 1) / n)
     if beta == 2:
         mats = ints[:, None] + c[1:, None, None] * (total - ints)[:, None]
-        mass = np.linalg.det(mats)
+        ratio = np.linalg.det(mats) / _chamber_mass(total, n, beta)
     else:
-        low, k, border = ints[..., :n], ints[..., n:2 * n], ints[..., 2 * n]
-        cross = k - np.swapaxes(k, 1, 2)
-        mats = (low[:, None] + c[1:, None, None] * cross[:, None]
-                + (c[1:] ** 2)[:, None, None] * (total[:, :n] - low - cross)[:, None])
+        # weights 1 below s and c above give L(s) + c X + c^2 (L(inf) - L(s) - X), bordered
+        # by B(s) + c (B(inf) - B(s)).  X = K - K^T vanishes at s = inf, so in the integrals
+        # above s that is the total plus (c^2 - 1) L + (c - c^2) X, bordered by (c - 1) B
+        cc = c[1:, None, None]
+        above = ints[:, None]
+        k = above[..., n:2 * n]
+        delta = (cc * cc - 1) * above[..., :n] + (cc - cc * cc) * (np.swapaxes(k, -1, -2) - k)
         if n % 2:
-            top = total[:, -1] - border
-            mats = _bordered(mats, border[:, None] + c[1:, None] * top[:, None])
-        mass = linalg.pfaffian(mats)
+            delta = _bordered(delta, (cc[..., 0] - 1) * above[..., 2 * n])
+        ratio = _pfaffian_ratio(_de_bruijn_matrix(total, n), delta)
     vals = np.ones((len(ints), n + 1))
-    vals[:, 1:] = mass / _chamber_mass(total, n, beta)
+    vals[:, 1:] = ratio
     return np.linalg.solve(np.vander(c, increasing=True), vals.T).T
 
 
@@ -372,10 +416,11 @@ def _grid(lo, hi, width, what):
 
 
 def _tables(phi, grid, root, wall, beta):
-    """Integrands f, (panels, COORDINATE_ORDER, n, d), of the basis phi on grid, and cum.
+    """Integrands f, (panels, COORDINATE_ORDER, n, d), of the basis phi on grid, cum and rest.
 
-    cum holds their integrals over the first j panels: phi_i phi_j for
-    beta = 2 (d = n), L, K and B of coordinate_cdf for beta = 1 (d = 2n + 1).
+    cum and rest hold their integrals over the first j panels and over the
+    panels from j on: phi_i phi_j for beta = 2 (d = n), L, K and B of
+    coordinate_cdf for beta = 1 (d = 2n + 1).
     """
     h, q, w, partial = grid
     if beta == 2:
@@ -387,13 +432,16 @@ def _tables(phi, grid, root, wall, beta):
                             phi[:, :, None] * above[:, None] + below[:, :, None] * phi[:, None],
                             (phi * border)[:, :, None]], axis=2)
     f = f.reshape((-1, COORDINATE_ORDER) + f.shape[1:])
-    cum = np.cumsum(np.tensordot(w[:COORDINATE_ORDER], f, axes=(0, 1)), axis=0)
-    return f, np.concatenate([np.zeros((1,) + cum.shape[1:]), cum])
+    panels = np.tensordot(w[:COORDINATE_ORDER], f, axes=(0, 1))
+    zero = np.zeros((1,) + panels.shape[1:])
+    cum = np.concatenate([zero, np.cumsum(panels, axis=0)])
+    rest = np.concatenate([np.cumsum(panels[::-1], axis=0)[::-1], zero])
+    return f, cum, rest
 
 
 @functools.lru_cache(maxsize=8)
 def _integrand_tables(n, wall, beta, root):
-    """(lo, h, f, cum): grid start, panel width and _tables of phi_i = P_i e^{-x^2 / 2 beta}.
+    """(lo, h, f, cum, rest): grid start, panel width and _tables of phi_i = P_i e^{-x^2 / 2 beta}.
 
     For one origin law at root = sqrt((T - t) / t); read-only, as calls share them.
     """
@@ -403,9 +451,9 @@ def _integrand_tables(n, wall, beta, root):
     grid = _grid(lo, reach, width, "t is too close to the horizon: the kernel's scale "
                  "sqrt((T - t) / t) = %.3g" % root)
     phi = np.exp(-grid[1] ** 2 / (2 * beta))[:, None] * _hermite_basis(n, wall, beta, grid[1])
-    f, cum = _tables(phi, grid, root, wall, beta)
-    f.flags.writeable = cum.flags.writeable = False
-    return lo, grid[0], f, cum
+    f, cum, rest = _tables(phi, grid, root, wall, beta)
+    f.flags.writeable = cum.flags.writeable = rest.flags.writeable = False
+    return lo, grid[0], f, cum, rest
 
 
 def _origin_mass(n, wall, beta):
@@ -444,22 +492,26 @@ def coordinate_cdf(spec, t, s):
       R = L(inf) - L - X, with G< and G> the integrals of eps(u, y) phi(y)
       over y < u and y > u; odd N is bordered by B(s) + c (B(inf) - B(s)),
       B(s) = int^s phi b.  G comes from _kernel_integrals; at t = T it
-      is G< = -Phi and G> = Phi(inf) - Phi for Phi = int^u phi.
+      is G< = -Phi and G> = Phi(inf) - Phi for Phi = int^u phi.  As X
+      vanishes at s = inf, the matrix is the total plus a change written
+      in the integrals above s, and its Pfaffian is taken as a ratio to the
+      total's that stays accurate as the change vanishes (_pfaffian_ratio).
 
     All integrals share one grid from lo (0 behind the wall, -reach free)
     to reach = sqrt(8N) + 8, past which no law has mass float64 can see:
     panels of COORDINATE_ORDER Gauss-Legendre nodes at most COORDINATE_PANEL
     wide, and before the horizon at most KERNEL_PANEL sqrt((T - t) / t),
     the scale of eps.  The integrands are tabulated at the nodes once
-    (_integrand_tables); each s takes the whole panels below it and its own
-    panel up to it with Lagrange-antiderivative weights, in blocks of s that
-    bound memory.  Against chamber quadrature the values agree to 1e-10 at
-    N <= 3 for t / T up to 0.99; they are monotone to 1e-12 at N <= 8 for
+    (_integrand_tables); each s takes the whole panels below it (above it
+    for beta = 1) and its own panel up to it (from it) with
+    Lagrange-antiderivative weights, in blocks of s that bound memory.
+    Against chamber quadrature the values agree to 1e-10 at N <= 3 for
+    t / T up to 0.99; they are monotone to 1e-12 at N <= 8 for
     t / T >= 0.9 (N <= 5 for t / T >= 0.5).  Before the horizon the de Bruijn
     matrix loses conditioning as t / T falls, the faster the larger N (error
-    1e-10 at N = 8, t / T = 0.5, wall): the law at the grid's end, 1, is
-    computed along, and an error there above COORDINATE_ERROR raises
-    ValueError, as do more than COORDINATE_NODES nodes (t too near the
+    1e-10 at N = 8, t / T = 0.5, wall): the law at the grid's two ends, 0
+    and 1, is computed along, and an error there above COORDINATE_ERROR
+    raises ValueError, as do more than COORDINATE_NODES nodes (t too near the
     horizon), t outside (0, horizon] and NaN in s.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
@@ -469,24 +521,31 @@ def coordinate_cdf(spec, t, s):
     s = np.asarray(s, dtype=float)
     if np.isnan(s).any():
         raise ValueError("s must not be NaN")
-    lo, h, f, cum = _integrand_tables(n, wall, beta, math.sqrt((T - t) / t) if beta == 1 else 0.0)
+    lo, h, f, cum, rest = _integrand_tables(n, wall, beta,
+                                            math.sqrt((T - t) / t) if beta == 1 else 0.0)
     panels = len(f)
-    x = np.append(np.clip(s.ravel() / math.sqrt(t), lo, lo + h * panels), lo + h * panels)
+    ends = (lo, lo + h * panels)
+    x = np.concatenate([np.clip(s.ravel() / math.sqrt(t), *ends), ends])
+    weights = _gl_nodes(COORDINATE_ORDER)[1] * (h / 2)
     above = np.empty((len(x), n + 1))
     rows = max(SLAB_POINTS // (COORDINATE_ORDER * f.shape[-2] * f.shape[-1]), 1)
     for r in range(0, len(x), rows):
         xr = x[r:r + rows]
         k = np.minimum(((xr - lo) / h).astype(int), panels - 1)
         part = _antiderivative_weights(2 * (xr - lo - h * k) / h - 1) * (h / 2)
-        ints = cum[k] + np.einsum("so,so...->s...", part, f[k])
+        if beta == 2:
+            ints = cum[k] + np.einsum("so,so...->s...", part, f[k])
+        else:
+            ints = rest[k + 1] + np.einsum("so,so...->s...", weights - part, f[k])
         above[r:r + rows] = _count_above(ints, cum[-1], n, beta)
     cdf = np.cumsum(above, axis=-1)[:, n - 1::-1]
-    if np.abs(1 - cdf[-1]).max() > COORDINATE_ERROR:
+    error = max(np.abs(cdf[-2]).max(), np.abs(1 - cdf[-1]).max())
+    if error > COORDINATE_ERROR:
         raise ValueError("float64 cannot resolve the law at N = %d, t = %r: the de Bruijn "
-                         "matrix is too ill-conditioned (error %.1e where the law is 1)"
-                         % (n, t, np.abs(1 - cdf[-1]).max()))
+                         "matrix is too ill-conditioned (error %.1e at the grid's ends, "
+                         "where the law is 0 and 1)" % (n, t, error))
     cdf[x <= lo] = 0.0
-    return np.clip(cdf[:-1], 0.0, 1.0).reshape(s.shape + (n,))
+    return np.clip(cdf[:-2], 0.0, 1.0).reshape(s.shape + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ in the package.  The suites check the GOE/GUE spectra, the Bessel endpoint
 and the PM bridge (`rmt.pm_bridge_check`, the g law before the horizon)
 against the exact coordinate laws of `densities.coordinate_cdf`, and de Bruijn's
 reduction and the Mehta integrals at N <= 6 through its tables.
-The KS statistics are computed here with numpy and the asymptotic
-critical values come from the Kolmogorov limit law
-(`scipy.special.kolmogi`), so the package imports no `scipy.stats`.
+The KS statistics are computed here with numpy, and the asymptotic
+critical values are quantiles of the Kolmogorov limit law, inverted from
+its series in plain Python.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .quadrature import chamber_integral
 
@@ -59,9 +59,32 @@ def _plain(v):
     return v
 
 
+def _kolmogorov_tail(x):
+    """P(sup |B(F)| > x), from whichever of the law's two series converges fast at x."""
+    if x >= 1:
+        # 2 sum_{k>=1} (-1)^(k-1) e^{-2 k^2 x^2}; five terms reach e^{-50}
+        return 2 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 6))
+    # 1 - sqrt(2 pi)/x sum_{k>=1} e^{-(2k-1)^2 pi^2 / 8x^2}; four terms reach e^{-60}
+    return 1 - math.sqrt(2 * math.pi) / x * sum(
+        math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8 * x * x)) for k in range(1, 5))
+
+
+@functools.lru_cache(maxsize=None)
 def _ks_coefficient(level):
-    # upper `level` quantile of the Kolmogorov law of sup |B(F)|: 1.628 at 1%
-    return float(special.kolmogi(level))
+    """Upper `level` quantile of the Kolmogorov law of sup |B(F)|: 1.628 at 1%.
+
+    Bisection of the decreasing tail down to two adjacent floats, of which
+    the one whose tail is nearer `level` is returned.
+    """
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1), got %r" % (level,))
+    lo, hi = 0.1, 10.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _kolmogorov_tail(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return lo if _kolmogorov_tail(lo) - level < level - _kolmogorov_tail(hi) else hi
 
 
 def ks_test(samples, cdf, level=0.01, name="ks", eval_points=None, metadata=None):
@@ -316,14 +339,14 @@ def walker_gap_cdf(start_gap, t):
     from .special_functions import psi
 
     gx = start_gap / math.sqrt(2)
-    st = math.sqrt(t)
-    z = psi(gx / math.sqrt(2 * t))
+    scale = math.sqrt(2 * t)
+    z = psi(gx / scale)
 
     def cdf(g):
+        # [Phi((g - gx)/sqrt t) - Phi((g + gx)/sqrt t) + 2 Phi(gx/sqrt t) - 1] / z with the
+        # normal CDF Phi(v) = (1 + psi(v / sqrt 2)) / 2
         g = np.asarray(g, dtype=float)
-        a = special.ndtr((g - gx) / st) - special.ndtr(-gx / st)
-        b = special.ndtr((g + gx) / st) - special.ndtr(gx / st)
-        return np.clip((a - b) / z, 0.0, 1.0)
+        return np.clip(1 - (psi((g + gx) / scale) - psi((g - gx) / scale)) / (2 * z), 0.0, 1.0)
 
     return cdf
 

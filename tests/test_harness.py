@@ -8,7 +8,6 @@ from scipy import stats as sps
 
 from viciouskit import harness
 from viciouskit.harness import StatReport, ks_test, ks_two_sample, verify_suite, walker_gap_cdf
-from viciouskit.special_functions import psi
 
 
 def test_ks_calibration():
@@ -65,19 +64,32 @@ def test_ks_two_sample_statistic_matches_scipy(sizes, decimals):
 
 @pytest.mark.parametrize("level", [0.01, 0.01 / 4, 0.01 / 8])
 def test_ks_coefficient_is_kolmogorov_quantile(level):
-    assert harness._ks_coefficient(level) == sps.kstwobign.isf(level)
+    # the root of 2 sum (-1)^(k-1) e^{-2 k^2 x^2} = level at 40 digits; bisection to adjacent
+    # floats leaves at most one ulp
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        tail = lambda x: 2 * mp.nsum(lambda k: (-1) ** (k - 1) * mp.exp(-2 * k * k * x * x),
+                                     [1, mp.inf]) - level
+        root = mp.findroot(tail, mp.mpf(1.7))
+        ours = harness._ks_coefficient(level)
+        assert abs(mp.mpf(ours) - root) <= np.spacing(ours)
+    assert ours == pytest.approx(sps.kstwobign.isf(level), rel=1e-15)
 
 
 @pytest.mark.parametrize("start_gap,t", [(2.0 / 16, 1.0), (2.0, 1.0), (0.5, 0.3)])
 def test_walker_gap_cdf_matches_normal_cdf_form(start_gap, t):
-    # the reflection difference of Gaussians written with scipy's normal CDF
+    # the reflection difference of Gaussians, [Phi(a) - Phi(-b) - Phi(c) + Phi(b)] / z, at 30
+    # digits; the erf difference is divided by 2 z = 2 psi(gx / sqrt(2 t)), down to 0.14, so
+    # a few ulps of error grow up to sevenfold: bound 32 ulps of 1
+    mp = pytest.importorskip("mpmath")
     gx, st = start_gap / math.sqrt(2), math.sqrt(t)
-    z = psi(gx / math.sqrt(2 * t))
     g = np.linspace(-1.0, 10.0, 501)
-    a = sps.norm.cdf((g - gx) / st) - sps.norm.cdf(-gx / st)
-    b = sps.norm.cdf((g + gx) / st) - sps.norm.cdf(gx / st)
-    np.testing.assert_array_equal(walker_gap_cdf(start_gap, t)(g),
-                                  np.clip((a - b) / z, 0.0, 1.0))
+    with mp.workdps(30):
+        z = 2 * mp.ncdf(gx / st) - 1
+        ref = [min(max((mp.ncdf((v - gx) / st) - mp.ncdf(-gx / st) - mp.ncdf((v + gx) / st)
+                        + mp.ncdf(gx / st)) / z, 0), 1) for v in g]
+        err = max(abs(mp.mpf(float(c)) - r) for c, r in zip(walker_gap_cdf(start_gap, t)(g), ref))
+    assert err <= 32 * np.spacing(1.0)
 
 
 def test_statreport_verdict_invariant():

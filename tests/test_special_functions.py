@@ -5,8 +5,8 @@ import pytest
 
 from tensor_references import MEHTA_LAWS, mehta_integral_quadrature
 from viciouskit.densities import _origin_mass
-from viciouskit.special_functions import (constants, h_hat_poly, h_poly, mehta_integral, psi,
-                                          psi_hat)
+from viciouskit.special_functions import (_ERF_CHUNK, _erf, constants, h_hat_poly, h_poly,
+                                          mehta_integral, psi, psi_hat)
 
 
 def test_psi_is_gaussian_mass():
@@ -15,6 +15,55 @@ def test_psi_is_gaussian_mass():
     # independent series value of erf(0.5)
     assert psi(0.5) == pytest.approx(0.5204998778130465, abs=1e-14)
     assert psi(-0.5) == -psi(0.5)
+
+
+def _erf_grid():
+    # [-27, 27] (psi_hat's arguments), both sides of each range edge, tiny and subnormal
+    # magnitudes of both signs, signed zeros, infinities and the largest floats
+    edges = np.array([0.84375, 1.25, 1 / 0.35, 6.0])
+    near = (edges[:, None] * (1 + np.linspace(-1e-3, 1e-3, 41))).ravel()
+    tiny = np.concatenate([np.geomspace(1e-300, 0.5, 300),
+                           [5e-324, 1e-320, 1e-310, np.finfo(float).tiny]])
+    grid = np.concatenate([np.linspace(-27.0, 27.0, 2701), near, tiny,
+                           [0.0, np.inf, np.finfo(float).max]])
+    return np.concatenate([grid, -grid])
+
+
+def _erf_ulps(values, grid, mp):
+    # |value - erf| in ulps of the correctly rounded erf, erf taken at 40 digits
+    with mp.workdps(40):
+        exact = [mp.erf(mp.mpf(float(x))) for x in grid]
+        err = np.array([float(abs(mp.mpf(float(v)) - e)) for v, e in zip(values, exact)])
+    return err / np.spacing(np.abs([float(e) for e in exact]))
+
+
+def test_erf_matches_mpmath_to_an_ulp():
+    mp = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    grid = _erf_grid()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ours = _erf(grid)
+    ulps = _erf_ulps(ours, grid, mp)
+    assert ulps.max() < 1.0
+    assert ulps.max() <= _erf_ulps(special.erf(grid), grid, mp).max()
+    assert np.array_equal(np.signbit(ours), np.signbit(grid))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert np.isnan(_erf(np.nan)) and np.isnan(_erf(np.array([1.0, np.nan]))[1])
+
+
+def test_erf_does_not_depend_on_batch_size_or_layout():
+    # every entry gets the bits it gets alone, in any shape, order or stride, and across
+    # the chunk boundary
+    rng = np.random.Generator(np.random.Philox(key=[23, 0]))
+    x = rng.uniform(-7.0, 7.0, (2 * _ERF_CHUNK // 50 + 3, 50))
+    alone = np.array([_erf(v) for v in x.ravel()]).reshape(x.shape)
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    views = [x, np.asfortranarray(x), x.T, wide[:, ::2], x[:1], x[::-1]]
+    refs = [alone, alone, alone.T, alone, alone[:1], alone[::-1]]
+    for view, ref in zip(views, refs):
+        assert np.array_equal(_erf(view).view(np.int64), ref.view(np.int64))
+    assert type(_erf(0.5)) is np.float64 and np.ndim(_erf(np.array(0.5))) == 0
 
 
 # frozen adaptive-quadrature values of the double integral
