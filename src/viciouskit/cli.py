@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,12 +81,12 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 
 
 def _cmd_count(args):
-    from .combinatorics import LatticeConfig, count_paths, walk_probability
+    from .combinatorics import LatticeConfig, count_paths
 
     u = LatticeConfig(args.start, wall=args.wall)
     m = args.time
     c = count_paths(m, u, args.end)
-    prob = walk_probability(m, u, args.end)
+    prob = Fraction(c.value, 1 << (c.steps * c.n_walkers))
     _emit(args, {
         "count": str(c.value),
         "steps": m,

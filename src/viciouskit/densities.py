@@ -326,16 +326,6 @@ def _kernel_integrals(phi, q, w, partial, root, wall):
     return below, above
 
 
-def _bordered(a, b):
-    """Skew matrices a, (..., n, n), bordered by the column b and the row -b."""
-    n = a.shape[-1]
-    out = np.zeros(a.shape[:-2] + (n + 1, n + 1))
-    out[..., :n, :n] = a
-    out[..., :n, n] = b
-    out[..., n, :n] = -b
-    return out
-
-
 def _chamber_mass(total, n, beta):
     """Chamber integral of det[phi_i(x_j)] Pf[eps(x_i, x_j)] (beta = 1) or det[phi_i(x_j)]^2.
 
@@ -344,13 +334,19 @@ def _chamber_mass(total, n, beta):
     """
     if beta == 2:
         return np.linalg.det(total)
-    return linalg.pfaffian(_de_bruijn_matrix(total, n))
+    return linalg.pfaffian(_de_bruijn_matrix(total[..., :n], total[..., 2 * n]))
 
 
-def _de_bruijn_matrix(total, n):
-    """L of the integrals total, bordered by B for odd N."""
-    full = total[..., :n]
-    return _bordered(full, total[..., 2 * n]) if n % 2 else full
+def _de_bruijn_matrix(low, border):
+    """Skew matrices low, (..., n, n), bordered for odd n by the column border and row -border."""
+    n = low.shape[-1]
+    if n % 2 == 0:
+        return low
+    out = np.zeros(low.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n] = low
+    out[..., :n, n] = border
+    out[..., n, :n] = -border
+    return out
 
 
 def _pfaffian_ratio(a, delta):
@@ -373,33 +369,32 @@ def _pfaffian_ratio(a, delta):
     return linalg.pfaffian(upper - upper.T + change) / np.prod(signs)
 
 
-def _count_above(ints, total, n, beta):
-    """P(exactly m coordinates above s), m = 0..N, from coordinate_cdf's integrals.
+def _count_above(above, total, n, beta):
+    """P(exactly m coordinates above s), m = 0..N, from the integrals above s of coordinate_cdf.
 
     The chamber mass with the coordinates above s weighted by c, a degree-N
     polynomial in c, is solved for from its values at c = cos(pi j / N),
-    each over the mass at c = 1.  ints are the integrals below s for
-    beta = 2 and above s for beta = 1.  There each matrix is the total's
-    plus a change that vanishes as s grows, and its Pfaffian is taken as a
-    ratio to the total's (_pfaffian_ratio), so the law stays resolved where
-    it nears 1.
+    each over the mass at c = 1.  Each matrix is the total's plus a change
+    in the integrals above s, which vanishes as s grows: for beta = 2 the
+    ratio is det(total + (c - 1) A) / det(total), A the Gram integrals above
+    s, which needs no symmetry of the Gram matrix, and for beta = 1 the
+    Pfaffian is taken as a ratio to the total's (_pfaffian_ratio), so the
+    law stays resolved where it nears 1.
     """
     c = np.cos(np.pi * np.arange(n + 1) / n)
+    cc = c[1:, None, None]
+    above = above[:, None]
     if beta == 2:
-        mats = ints[:, None] + c[1:, None, None] * (total - ints)[:, None]
-        ratio = np.linalg.det(mats) / _chamber_mass(total, n, beta)
+        ratio = np.linalg.det(total + (cc - 1) * above) / _chamber_mass(total, n, beta)
     else:
         # weights 1 below s and c above give L(s) + c X + c^2 (L(inf) - L(s) - X), bordered
         # by B(s) + c (B(inf) - B(s)).  X = K - K^T vanishes at s = inf, so in the integrals
         # above s that is the total plus (c^2 - 1) L + (c - c^2) X, bordered by (c - 1) B
-        cc = c[1:, None, None]
-        above = ints[:, None]
         k = above[..., n:2 * n]
         delta = (cc * cc - 1) * above[..., :n] + (cc - cc * cc) * (np.swapaxes(k, -1, -2) - k)
-        if n % 2:
-            delta = _bordered(delta, (cc[..., 0] - 1) * above[..., 2 * n])
-        ratio = _pfaffian_ratio(_de_bruijn_matrix(total, n), delta)
-    vals = np.ones((len(ints), n + 1))
+        ratio = _pfaffian_ratio(_de_bruijn_matrix(total[:, :n], total[:, 2 * n]),
+                                _de_bruijn_matrix(delta, (cc[..., 0] - 1) * above[..., 2 * n]))
+    vals = np.ones((len(above), n + 1))
     vals[:, 1:] = ratio
     return np.linalg.solve(np.vander(c, increasing=True), vals.T).T
 
@@ -416,11 +411,11 @@ def _grid(lo, hi, width, what):
 
 
 def _tables(phi, grid, root, wall, beta):
-    """Integrands f, (panels, COORDINATE_ORDER, n, d), of the basis phi on grid, cum and rest.
+    """Integrands f, (panels, COORDINATE_ORDER, n, d), of the basis phi on grid, rest and total.
 
-    cum and rest hold their integrals over the first j panels and over the
-    panels from j on: phi_i phi_j for beta = 2 (d = n), L, K and B of
-    coordinate_cdf for beta = 1 (d = 2n + 1).
+    rest[j] holds their integrals over the panels from j on, and total
+    their integral over the grid, summed forward: phi_i phi_j for beta = 2
+    (d = n), L, K and B of coordinate_cdf for beta = 1 (d = 2n + 1).
     """
     h, q, w, partial = grid
     if beta == 2:
@@ -434,14 +429,13 @@ def _tables(phi, grid, root, wall, beta):
     f = f.reshape((-1, COORDINATE_ORDER) + f.shape[1:])
     panels = np.tensordot(w[:COORDINATE_ORDER], f, axes=(0, 1))
     zero = np.zeros((1,) + panels.shape[1:])
-    cum = np.concatenate([zero, np.cumsum(panels, axis=0)])
     rest = np.concatenate([np.cumsum(panels[::-1], axis=0)[::-1], zero])
-    return f, cum, rest
+    return f, rest, np.cumsum(panels, axis=0)[-1]
 
 
 @functools.lru_cache(maxsize=8)
 def _integrand_tables(n, wall, beta, root):
-    """(lo, h, f, cum, rest): grid start, panel width and _tables of phi_i = P_i e^{-x^2 / 2 beta}.
+    """(lo, h, f, rest, total): grid start, panel width and _tables of phi_i = P_i e^{-x^2 / 2 beta}.
 
     For one origin law at root = sqrt((T - t) / t); read-only, as calls share them.
     """
@@ -451,9 +445,9 @@ def _integrand_tables(n, wall, beta, root):
     grid = _grid(lo, reach, width, "t is too close to the horizon: the kernel's scale "
                  "sqrt((T - t) / t) = %.3g" % root)
     phi = np.exp(-grid[1] ** 2 / (2 * beta))[:, None] * _hermite_basis(n, wall, beta, grid[1])
-    f, cum, rest = _tables(phi, grid, root, wall, beta)
-    f.flags.writeable = cum.flags.writeable = rest.flags.writeable = False
-    return lo, grid[0], f, cum, rest
+    f, rest, total = _tables(phi, grid, root, wall, beta)
+    f.flags.writeable = rest.flags.writeable = total.flags.writeable = False
+    return lo, grid[0], f, rest, total
 
 
 def _origin_mass(n, wall, beta):
@@ -465,7 +459,7 @@ def _origin_mass(n, wall, beta):
     """
     lead = math.prod(math.sqrt((2 / beta) ** k / math.factorial(k))
                      for k in (range(1, 2 * n, 2) if wall else range(n)))
-    total = _integrand_tables.__wrapped__(n, wall, beta, 0.0)[3][-1]
+    total = _integrand_tables.__wrapped__(n, wall, beta, 0.0)[4]
     return _chamber_mass(total, n, beta) / lead ** beta
 
 
@@ -486,7 +480,8 @@ def coordinate_cdf(spec, t, s):
     integral a polynomial in c whose coefficient of c^m is P(exactly m
     coordinates above s):
 
-    * beta = 2, Andreief: det(G(s) + c (G(inf) - G(s))), G(s) = int^s phi_i phi_j;
+    * beta = 2, Andreief: det(G(s) + c A(s)) = det(G(inf) + (c - 1) A(s)),
+      G(s) = int^s phi_i phi_j and A(s) = G(inf) - G(s) = int_s^inf phi_i phi_j;
     * beta = 1, de Bruijn: Pf(L + c X + c^2 R), L(s) = int^s (phi G<^T -
       G< phi^T), K(s) = int^s (phi G>^T + G< phi^T), X = K - K^T,
       R = L(inf) - L - X, with G< and G> the integrals of eps(u, y) phi(y)
@@ -502,9 +497,9 @@ def coordinate_cdf(spec, t, s):
     panels of COORDINATE_ORDER Gauss-Legendre nodes at most COORDINATE_PANEL
     wide, and before the horizon at most KERNEL_PANEL sqrt((T - t) / t),
     the scale of eps.  The integrands are tabulated at the nodes once
-    (_integrand_tables); each s takes the whole panels below it (above it
-    for beta = 1) and its own panel up to it (from it) with
-    Lagrange-antiderivative weights, in blocks of s that bound memory.
+    (_integrand_tables); for both beta each s takes the whole panels above
+    it and its own panel from it with Lagrange-antiderivative weights, in
+    blocks of s that bound memory.
     Against chamber quadrature the values agree to 1e-10 at N <= 3 for
     t / T up to 0.99; they are monotone to 1e-12 at N <= 8 for
     t / T >= 0.9 (N <= 5 for t / T >= 0.5).  Before the horizon the de Bruijn
@@ -521,8 +516,8 @@ def coordinate_cdf(spec, t, s):
     s = np.asarray(s, dtype=float)
     if np.isnan(s).any():
         raise ValueError("s must not be NaN")
-    lo, h, f, cum, rest = _integrand_tables(n, wall, beta,
-                                            math.sqrt((T - t) / t) if beta == 1 else 0.0)
+    lo, h, f, rest, total = _integrand_tables(n, wall, beta,
+                                              math.sqrt((T - t) / t) if beta == 1 else 0.0)
     panels = len(f)
     ends = (lo, lo + h * panels)
     x = np.concatenate([np.clip(s.ravel() / math.sqrt(t), *ends), ends])
@@ -533,11 +528,8 @@ def coordinate_cdf(spec, t, s):
         xr = x[r:r + rows]
         k = np.minimum(((xr - lo) / h).astype(int), panels - 1)
         part = _antiderivative_weights(2 * (xr - lo - h * k) / h - 1) * (h / 2)
-        if beta == 2:
-            ints = cum[k] + np.einsum("so,so...->s...", part, f[k])
-        else:
-            ints = rest[k + 1] + np.einsum("so,so...->s...", weights - part, f[k])
-        above[r:r + rows] = _count_above(ints, cum[-1], n, beta)
+        ints = rest[k + 1] + np.einsum("so,so...->s...", weights - part, f[k])
+        above[r:r + rows] = _count_above(ints, total, n, beta)
     cdf = np.cumsum(above, axis=-1)[:, n - 1::-1]
     error = max(np.abs(cdf[-2]).max(), np.abs(1 - cdf[-1]).max())
     if error > COORDINATE_ERROR:
@@ -677,5 +669,5 @@ def de_bruijn_check(t, x, wall=False):
                  "the start x = %s at t = %r" % (x, t))
     q = grid[1][:, None]
     phi = np.exp(-(q - u) ** 2 / 2) - (np.exp(-(q + u) ** 2 / 2) if wall else 0.0)
-    total = _tables(phi / math.sqrt(2 * math.pi), grid, 0.0, wall, 1)[1][-1]
+    total = _tables(phi / math.sqrt(2 * math.pi), grid, 0.0, wall, 1)[2]
     return abs(_chamber_mass(total, len(x), 1) - surv) / surv

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import LatticeConfig, time_lattice
-from .densities import ModelSpec, drift_batch
+from .densities import ModelSpec, _check_chamber, drift_batch
 
 __all__ = [
     "SimConfig",
@@ -392,11 +392,9 @@ def simulate_sde(cfg):
     n, T = spec.n_walkers, spec.horizon
     origin = cfg.start is None
     if not origin:
-        x0 = np.asarray(cfg.start, dtype=float)
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("SDE start must be finite, got %s" % (x0,))
-        if np.any(np.diff(x0) <= 0) or (spec.wall and x0[0] <= 0):
-            raise ValueError("SDE start must be strictly interior")
+        x0 = _check_chamber(cfg.start, spec.wall, "SDE start")
+        if spec.wall and x0[0] == 0:
+            raise ValueError("SDE start must be strictly interior: x_1 = 0 lies on the wall")
     times, cols = _sde_grid(cfg.model, T, cfg.step, cfg.t_end, origin)
     exact = origin and cfg.model == "sde-g"
     if exact:
@@ -482,10 +480,9 @@ def noncollision_mc(t, x, samples=100_000, step=1e-3, wall=False, seed=0):
     n = len(x)
     if n == 0 or samples < 1 or not step > 0 or not 0 <= t < math.inf:
         raise ValueError("need a nonempty start, samples >= 1, step > 0 and finite t >= 0")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("start x must be finite, got %s" % (x,))
-    if np.any(np.diff(x) <= 0) or (wall and x[0] <= 0):
-        raise ValueError("start must be an interior chamber point")
+    x = _check_chamber(x, wall, "start x")
+    if wall and x[0] == 0:
+        raise ValueError("start x must be strictly interior: x_1 = 0 lies on the wall")
     if t == 0:
         return 1.0, 1.0 / samples           # an interior start has not collided yet
     n_steps = max(int(math.ceil(t / step)), 1)

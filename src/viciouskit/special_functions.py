@@ -248,12 +248,8 @@ def h_poly(x):
 def h_hat_poly(x):
     """Wall chamber polynomial prod_{i<j} (x_j^2 - x_i^2) * prod_i x_i."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    out = np.prod(x, axis=-1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (x[..., j] ** 2 - x[..., i] ** 2)
-    return out if out.ndim else float(out)
+    out = np.prod(x, axis=-1) * h_poly(x ** 2)
+    return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------

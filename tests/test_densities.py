@@ -465,6 +465,20 @@ def test_coordinate_cdf_is_a_cdf(family, n, wall):
     assert coordinate_cdf(spec, 1.0, 0.3).shape == (n,)
 
 
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("horizon, t", [(1.0, 1.0), (1.0, 0.5), (math.inf, 1.0), (math.inf, 0.5)])
+def test_coordinate_cdf_does_not_depend_on_the_batch(horizon, t, wall):
+    # a point's law is the same bit for bit alone, inside a batch of several
+    # slabs and inside the same batch reshaped
+    spec = ModelSpec(3, horizon=horizon, wall=wall)
+    s = np.random.default_rng(24).uniform(-4.0, 4.0, 7000) * math.sqrt(t)
+    whole = coordinate_cdf(spec, t, s)
+    np.testing.assert_array_equal(coordinate_cdf(spec, t, s.reshape(70, 100)).reshape(whole.shape),
+                                  whole)
+    for i in (0, 3500, 6999):
+        np.testing.assert_array_equal(coordinate_cdf(spec, t, s[i]), whole[i])
+
+
 def test_coordinate_cdf_rejects_bad_times_and_points():
     g, p = ModelSpec(2, horizon=1.0), ModelSpec(2)
     for spec, t in ((g, 0.0), (g, -1.0), (g, 1.5), (g, math.inf), (g, math.nan),

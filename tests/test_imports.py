@@ -1,6 +1,6 @@
 """Every import in the package modules, at module level or inside a function, is used,
-the package imports nothing from scipy, and every `__all__` entry names something its
-module defines."""
+every module-level private name is used, the package imports nothing from scipy, and
+every `__all__` entry names something its module defines."""
 
 import ast
 import importlib
@@ -46,6 +46,53 @@ def test_function_local_imports_are_checked():
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree):
+    """(name, statement) of each module-level _name a tree defines, dunders aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        yield from ((n, stmt) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _references(node):
+    """The names a node reads: bare names, attributes and names imported from a module."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (a.name for a in n.names)
+
+
+def _orphans(trees):
+    """The module-level private names of trees that no statement but their own reads."""
+    orphans = []
+    for tree in trees:
+        for name, own in _private_definitions(tree):
+            if not any(name in _references(stmt) for other in trees for stmt in other.body
+                       if stmt is not own):
+                orphans.append(name)
+    return sorted(orphans)
+
+
+def test_orphaned_private_names_are_found():
+    trees = [ast.parse("_A = 1\n_B = 2\n\ndef _f(n):\n    return _f(n - 1)\n\n"
+                       "def g():\n    return _A\n"),
+             ast.parse("from m import _C\n\ndef _h():\n    return m._B\n")]
+    assert _orphans(trees) == ["_f", "_h"]
+
+
+def test_private_names_are_used():
+    # a helper left behind by a simplification is dead code
+    assert _orphans([ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")]) == []
 
 
 def _scipy_imports(tree):

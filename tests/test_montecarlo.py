@@ -513,6 +513,18 @@ def test_non_finite_inputs_are_named(call, name):
         call()
 
 
+@pytest.mark.parametrize("start, rule", [((1.0, 1.0), "strictly increasing"),
+                                         ((-0.5, 1.0), "nonnegative behind the wall"),
+                                         ((0.0, 1.0), "strictly interior")])
+def test_wall_starts_follow_the_chamber_rules(start, rule):
+    # both engines check a start as densities does, and behind the wall also x_1 > 0
+    with pytest.raises(ValueError, match="SDE start must be " + rule):
+        simulate_sde(SimConfig("sde-g", ModelSpec(2, horizon=1.0, wall=True),
+                               start=np.array(start), samples=2))
+    with pytest.raises(ValueError, match="start x must be " + rule):
+        noncollision_mc(1.0, start, wall=True)
+
+
 def test_noncollision_trivial_and_exact():
     p, se = noncollision_mc(1.0, (0.0,), samples=500, step=0.05, seed=0)
     assert p == 1.0
