@@ -63,9 +63,30 @@ class WalkCount:
 
 
 def _bareiss_det(m):
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix: content reduction, then Bareiss.
+
+    Each row, then each column, is divided by the gcd of its entries, and
+    the determinant is the product of those contents times the reduced
+    matrix's fraction-free (Bareiss 1968) determinant.  Binomial entries
+    share nearly all of their bits, so the elimination runs on small
+    integers.  A zero row or column gives 0.
+    """
     a = [list(row) for row in m]
     n = len(a)
+    content = 1
+    for i in range(n):
+        g = math.gcd(*a[i])
+        if g == 0:
+            return 0
+        a[i] = [x // g for x in a[i]]
+        content *= g
+    for j in range(n):
+        g = math.gcd(*(row[j] for row in a))
+        if g == 0:
+            return 0
+        for row in a:
+            row[j] //= g
+        content *= g
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -82,17 +103,18 @@ def _bareiss_det(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * content * a[n - 1][n - 1]
 
 
-def _binomial_row(m):
-    """The exact binomials C(m, k), k = 0..m, as a list of Python ints.
+def _binomial_row(m, lo=0, hi=None):
+    """The exact binomials C(m, k), k = lo..hi (default 0..m), as a list of Python ints.
 
-    Built by the recurrence C(m, k+1) = C(m, k)(m-k)/(k+1), whose divisions
-    are exact.
+    One math.comb(m, lo), then the recurrence C(m, k+1) = C(m, k)(m-k)/(k+1),
+    whose divisions are exact.  Empty when lo > hi.
     """
-    row = [1]
-    for k in range(m):
+    hi = m if hi is None else hi
+    row = [math.comb(m, lo)] if lo <= hi else []
+    for k in range(lo, hi):
         row.append(row[-1] * (m - k) // (k + 1))
     return row
 
@@ -102,8 +124,9 @@ def count_paths(m, u, v):
 
     Binomial determinant det C(m, (m+u_j-v_i)/2), with the reflected
     correction term C(m, (m+u_j+v_i)/2 + 1) subtracted entrywise for the
-    wall model.  Infeasible endpoints (bad parity, out of order, out of
-    reach, behind the wall) count zero.
+    wall model, taken by _bareiss_det.  Only the binomials whose k the
+    entries reach are built.  Infeasible endpoints (bad parity, out of
+    order, out of reach, behind the wall) count zero.
     """
     if m < 0:
         raise ValueError("step count must be nonnegative")
@@ -115,7 +138,11 @@ def count_paths(m, u, v):
         return WalkCount(value=0, steps=m, n_walkers=n)
     # C(m, k) keyed by 2k: key m + a - b reads C(m, (m + a - b)/2), and an odd
     # key or one out of range reads 0
-    binom = {2 * k: c for k, c in enumerate(_binomial_row(m))}.get
+    keys = [m + a - b for a in u.positions for b in v]
+    if u.wall:
+        keys += [m + a + b + 2 for a in u.positions for b in v]
+    lo, hi = max(-(-min(keys) // 2), 0), min(max(keys) // 2, m)
+    binom = {2 * k: c for k, c in enumerate(_binomial_row(m, lo, hi), lo)}.get
     val = _bareiss_det([[binom(m + a - b, 0) - (binom(m + a + b + 2, 0) if u.wall else 0)
                          for a in u.positions] for b in v])
     if val < 0:
@@ -230,8 +257,8 @@ def oracle_count_dp(m, u, return_steps=False):
     base = max(u.positions) + offset + m + 2
 
     def table(steps):
-        return {tuple(int(p) for p in s): WalkCount(value=int(c), steps=steps, n_walkers=n)
-                for s, c in zip(states, counts)}
+        return {tuple(s): WalkCount(value=c, steps=steps, n_walkers=n)
+                for s, c in zip(states.tolist(), counts.tolist())}
 
     snapshots = []
     for k in range(m):

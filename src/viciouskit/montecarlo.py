@@ -209,7 +209,9 @@ def simulate_walkers(cfg):
     if m < 1:
         raise ValueError("horizon too short for this scale: zero lattice steps")
     cols = _grid_columns(m)
-    pos0 = np.asarray(u.positions, dtype=np.int64)
+    # a walker stays within max|u| + m of 0, so int32 holds it unless that reaches 2^31
+    wide = max(abs(p) for p in u.positions) + m >= 2 ** 31
+    pos0 = np.asarray(u.positions, dtype=np.int64 if wide else np.int32)
     block_cap = max(ROUND_ENTRIES // (n * max(len(cols), 8)), 1)
 
     paths = np.empty((cfg.samples, n, len(cols)))

@@ -1,12 +1,15 @@
+import collections
 import itertools
+import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from viciouskit.combinatorics import (LatticeConfig, WalkCount, _walk_weights, count_paths,
-                                      oracle_count_dp, scaled_survival,
+from viciouskit.combinatorics import (LatticeConfig, WalkCount, _bareiss_det, _binomial_row,
+                                      _walk_weights, count_paths, oracle_count_dp, scaled_survival,
                                       survival_probability, time_lattice,
                                       walk_probability)
 
@@ -155,6 +158,127 @@ def test_packed_survival_matches_gov_product(p):
 def test_packed_survival_eight_walkers_long_time():
     u = LatticeConfig(tuple(range(0, 16, 2)))
     assert survival_probability(400, u) == _gov_count(8, 400) / (1 << 3200)
+
+
+def _macmahon_square_box(n, p):
+    # MacMahon: PP(n, n, p) = prod_{i,j<=n} (i+j+p-1)/(i+j-1).  s = i + j occurs
+    # min(s-1, 2n+1-s) times, so the product is summed as prime exponents over s
+    top = 2 * n + p
+    spf = list(range(top + 1))          # smallest prime factor
+    for q in range(2, math.isqrt(top) + 1):
+        if spf[q] == q:
+            for r in range(q * q, top + 1, q):
+                spf[r] = min(spf[r], q)
+    exps = collections.Counter()
+
+    def add(x, e):
+        while x > 1:
+            exps[spf[x]] += e
+            x //= spf[x]
+
+    for s in range(2, 2 * n + 1):
+        mult = min(s - 1, 2 * n + 1 - s)
+        add(s + p - 1, mult)
+        add(s - 1, -mult)
+    assert min(exps.values(), default=0) >= 0
+    return math.prod(q ** e for q, e in exps.items())
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_packed_return_count_is_macmahon_box(p):
+    # p packed walkers back to their start in 2n steps: plane partitions in an n x n x p box
+    u = LatticeConfig(tuple(range(0, 2 * p, 2)))
+    for n in range(16):
+        assert count_paths(2 * n, u, u.positions).value == _macmahon_square_box(n, p)
+
+
+def test_packed_count_n8_m4000_is_macmahon_box():
+    # the benchmark's C_count_packed_n8_m4000 instance, a 31708-bit integer
+    u = LatticeConfig(tuple(range(0, 16, 2)))
+    value = count_paths(4000, u, u.positions).value
+    assert value.bit_length() == 31708
+    assert value == _macmahon_square_box(2000, 8)
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals, an exact reference."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def _random_matrix(rng, n):
+    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for row in a:                       # shared contents for the reduction to take out
+        f = rng.choice([1, 1, 2, -3, 6, 1 << 70])
+        row[:] = [f * x for x in row]
+    kind = rng.randrange(6)
+    if kind == 0:
+        a[rng.randrange(n)] = [0] * n
+    elif kind == 1:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    elif kind == 2 and n > 2:           # singular: one row a combination of two others
+        i, k, l = rng.sample(range(n), 3)
+        c = rng.randint(-4, 4)
+        a[i] = [c * x + 5 * y for x, y in zip(a[k], a[l])]
+    elif kind == 3 and n > 1:           # a zero leading entry, so a row swap
+        a[0][0] = 0
+    return a
+
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(2024)
+    for _ in range(600):
+        a = _random_matrix(rng, rng.randint(1, 6))
+        ref = _fraction_det(a)
+        assert ref.denominator == 1
+        assert _bareiss_det(a) == ref, a
+    assert _bareiss_det([[-7]]) == -7 and _bareiss_det([[0]]) == 0
+    assert _bareiss_det([[0, 3], [5, 0]]) == -15
+    assert _bareiss_det([[2, 4], [3, 6]]) == 0
+
+
+def _comb(m, key):
+    # C(m, key/2): zero for an odd key or one out of range
+    return math.comb(m, key // 2) if key % 2 == 0 and 0 <= key <= 2 * m else 0
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_count_paths_matches_fraction_elimination(wall):
+    rng = random.Random(7 + wall)
+    for m in (0, 1, 2, 7, 40, 399, 1000, 4000):
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            spread = min(m, 60) + 8
+            u = LatticeConfig(tuple(2 * x for x in sorted(rng.sample(range(spread), n))),
+                              wall=wall)
+            v = tuple(2 * x + m % 2 for x in sorted(rng.sample(range(spread), n)))
+            entries = [[_comb(m, m + a - b) - (_comb(m, m + a + b + 2) if wall else 0)
+                        for a in u.positions] for b in v]
+            assert count_paths(m, u, v).value == _fraction_det(entries), (m, u, v)
+
+
+@pytest.mark.parametrize("m", [0, 1, 9, 40])
+def test_binomial_row_ranges(m):
+    assert _binomial_row(m) == [math.comb(m, k) for k in range(m + 1)]
+    for lo in range(m + 1):
+        for hi in range(lo - 1, m + 1):
+            assert _binomial_row(m, lo, hi) == [math.comb(m, k) for k in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 1023, 1024, 16384, 16385])

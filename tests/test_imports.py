@@ -1,6 +1,7 @@
 """Every import in the package modules, at module level or inside a function, is used,
-every module-level private name is used, the package imports nothing from scipy, and
-every `__all__` entry names something its module defines."""
+every module-level private name is used, the package imports nothing from scipy and loads
+nothing outside the standard library but numpy, and every `__all__` entry names something
+its module defines."""
 
 import ast
 import importlib
@@ -119,15 +120,28 @@ def test_package_imports_only_scipy_special(path):
     assert list(_scipy_imports(tree)) == []
 
 
-def test_import_loads_no_scipy_module_but_special():
-    # the modules a fresh interpreter holds after the import the CLI pays for: no scipy
+def _modules_the_import_loads():
+    """The modules a fresh interpreter adds by the import the CLI pays for.
+
+    Modules the interpreter loads at start-up (site hooks) are not counted.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(SRC.parent), env.get("PYTHONPATH")] if p)
-    code = ("import sys, viciouskit, viciouskit.cli, viciouskit.harness\n"
-            "print(*sorted(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout.split()
-    assert [m for m in out if m.split(".")[0] == "scipy"] == []
+    code = ("import sys\nbefore = set(sys.modules)\n"
+            "import viciouskit, viciouskit.cli, viciouskit.harness\n"
+            "print(*sorted(set(sys.modules) - before))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.split()
+
+
+def test_import_loads_no_scipy_module_but_special():
+    assert [m for m in _modules_the_import_loads() if m.split(".")[0] == "scipy"] == []
+
+
+def test_import_loads_only_stdlib_and_numpy():
+    # a heavier import fails here rather than showing up only as set-up time
+    allowed = set(sys.stdlib_module_names) | {"numpy", "viciouskit"}
+    assert [m for m in _modules_the_import_loads() if m.split(".")[0] not in allowed] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -82,6 +82,20 @@ def test_walker_determinism_across_streams():
     assert a.accepted == b.accepted and a.proposed == b.proposed
 
 
+def test_walker_positions_past_int32_are_exact():
+    # max|u| + m >= 2^31 takes int64 positions; the draws are those of the int32
+    # run from (0, 2), so the paths are its paths shifted by 2^31 / L
+    def run(start):
+        return simulate_walkers(SimConfig("walker", ModelSpec(2, horizon=1.0),
+                                          start=LatticeConfig(start), scale=8, samples=50,
+                                          seed=3))
+
+    a, b = run((0, 2)), run((2 ** 31, 2 ** 31 + 2))
+    np.testing.assert_array_equal(b.time_grid, a.time_grid)
+    np.testing.assert_array_equal(b.paths - 2 ** 31 / 8, a.paths)
+    assert (b.accepted, b.proposed) == (a.accepted, a.proposed)
+
+
 def test_walker_stream_with_zero_quota():
     # 2 samples over 3 streams: the third stream's quota is 0, so it draws
     # nothing and the run equals the two-stream run
