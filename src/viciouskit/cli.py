@@ -61,6 +61,23 @@ def _increasing_floats(text):
     return x
 
 
+def _decimal(value):
+    """The decimal digits of an exact integer of any size.
+
+    Python caps int-to-str conversion (4300 digits by default); the cap is
+    lifted only around this conversion, on Pythons that have one.
+    """
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    if cap is None:
+        return str(value)
+    old = cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _emit(args, payload, csv_rows=None, csv_header=None):
     """Write the result as JSON (default) or CSV, to --out or stdout."""
     if args.format == "csv":
@@ -88,10 +105,10 @@ def _cmd_count(args):
     c = count_paths(m, u, args.end)
     prob = Fraction(c.value, 1 << (c.steps * c.n_walkers))
     _emit(args, {
-        "count": str(c.value),
+        "count": _decimal(c.value),
         "steps": m,
         "n_walkers": c.n_walkers,
-        "probability": {"num": str(prob.numerator), "den": str(prob.denominator),
+        "probability": {"num": _decimal(prob.numerator), "den": _decimal(prob.denominator),
                         "float": float(prob)},
     })
     return 0
@@ -105,7 +122,7 @@ def _cmd_survive(args):
     prob = survival_probability(m, u)
     _emit(args, {
         "steps": m,
-        "probability": {"num": str(prob.numerator), "den": str(prob.denominator),
+        "probability": {"num": _decimal(prob.numerator), "den": _decimal(prob.denominator),
                         "float": float(prob)},
     })
     return 0

@@ -264,9 +264,9 @@ def oracle_count_dp(m, u, return_steps=False):
     for k in range(m):
         new = (states[:, None, :] + moves[None, :, :]).reshape(-1, n)
         cnt = np.repeat(counts, 1 << n)
-        ok = np.all(new[:, 1:] > new[:, :-1], axis=1) if n > 1 else np.ones(len(new), bool)
-        if u.wall:
-            ok &= new[:, 0] >= 0
+        ok = new[:, 0] >= 0 if u.wall else np.ones(len(new), dtype=bool)
+        for i in range(n - 1):
+            ok &= new[:, i + 1] > new[:, i]
         new, cnt = new[ok], cnt[ok]
         keys = (new + offset) @ (base ** np.arange(n, dtype=np.int64))
         uniq, inv = np.unique(keys, return_inverse=True)

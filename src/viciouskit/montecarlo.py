@@ -134,7 +134,22 @@ def _grid_columns(m):
 
 
 def _walker_steps(rng, size):
-    return 2 * rng.integers(0, 2, size=size, dtype=np.int8) - 1
+    """int8 +-1 steps of the given shape: 2 b - 1 for b the top bit of one random byte each.
+
+    These are the steps of 2 * rng.integers(0, 2, size, int8) - 1, and the
+    generator ends in the same state: numpy's bounded int8 draw on [0, 2)
+    is Lemire's multiply-shift on one byte of a 32-bit word, which is that
+    byte's top bit, and a full-range uint32 draw (what rng.bytes reads)
+    takes the same words in the same order, its cached half word included.
+    The bytes are turned into steps in place, in the words' own buffer.
+    """
+    total = math.prod(size)
+    words = rng.integers(0, 1 << 32, size=-(-total // 4), dtype=np.uint32)
+    steps = words.astype("<u4", copy=False).view(np.uint8)
+    steps >>= 7
+    steps <<= 1
+    steps -= 1                          # 0, 1 -> 255, 1: int8 -1, 1
+    return steps[:total].view(np.int8).reshape(size)
 
 
 def _advance_block(rng, pos0, m, cols, batch, wall, draw, weight=None):
@@ -145,7 +160,10 @@ def _advance_block(rng, pos0, m, cols, batch, wall, draw, weight=None):
     of k = max(t, 8) steps from the time t reached, at most ROUND_ENTRIES
     step entries per round.  Rows that break strict order (or go below 0
     behind the wall) at any step of a round are dropped at its end, so a
-    proposal draws about twice its lifetime in steps.  weight(start, path)
+    proposal draws about twice its lifetime in steps.  The start is added
+    one walker at a time and order is checked one neighbouring pair at a
+    time, each over all rows and steps of the round, so numpy's inner loops
+    run along the round rather than the short walker axis.  weight(start, path)
     gives each surviving row's weight over the round, from its positions
     before the round (rows, n) and at the round's steps (rows, k, n); a row
     of weight 0 is dropped too.  A hook builds one n x n matrix per
@@ -166,10 +184,11 @@ def _advance_block(rng, pos0, m, cols, batch, wall, draw, weight=None):
         k = min(max(t, 8), m - t, ROUND_ENTRIES // (len(rows) * width))
         path = draw(rng, (len(rows), k, n)).astype(pos0.dtype, copy=False)
         np.cumsum(path, axis=1, out=path)
-        path += pos[:, None, :]
-        ok = np.all(path[:, :, 1:] > path[:, :, :-1], axis=(1, 2))
-        if wall:
-            ok &= np.all(path[:, :, 0] >= 0, axis=1)
+        for i in range(n):              # the same float sums as broadcasting pos
+            path[:, :, i] += pos[:, i, None]
+        ok = np.all(path[:, :, 0] >= 0, axis=1) if wall else np.ones(len(path), dtype=bool)
+        for i in range(n - 1):
+            ok &= np.all(path[:, :, i + 1] > path[:, :, i], axis=1)
         live = np.flatnonzero(ok)
         w = w[live]
         if weight is not None:
@@ -227,7 +246,7 @@ def simulate_walkers(cfg):
             proposed += batch
             accepted += len(good)
             take = min(len(good), stop - got)
-            paths[got:got + take] = good[:take].transpose(0, 2, 1) / L
+            np.divide(good[:take].transpose(0, 2, 1), L, out=paths[got:got + take])
             got += take
             if proposed >= 1_000_000 and accepted / proposed < ACCEPTANCE_FLOOR:
                 raise RuntimeError(
@@ -361,9 +380,9 @@ def _em_advance(spec, x, t, dt, rng, depth=HALVING_BUDGET):
     """
     b = drift_batch(spec, t, x)
     prop = x + b * dt + rng.normal(scale=math.sqrt(dt), size=x.shape)
-    ok = np.all(prop[:, 1:] > prop[:, :-1], axis=1)
-    if spec.wall:
-        ok &= prop[:, 0] > 0
+    ok = prop[:, 0] > 0 if spec.wall else np.ones(len(prop), dtype=bool)
+    for i in range(x.shape[1] - 1):
+        ok &= prop[:, i + 1] > prop[:, i]
     if np.all(ok):
         return prop
     if depth <= 0:

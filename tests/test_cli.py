@@ -36,6 +36,37 @@ def test_survive_subcommand(capsys):
     assert data["probability"]["den"] == "8"
 
 
+def test_count_and_survive_print_integers_past_the_str_digit_cap(capsys, monkeypatch):
+    # Python caps int-to-str conversion (4300 digits by default); the CLI
+    # lifts the cap only while it formats an exact integer
+    from fractions import Fraction
+
+    from viciouskit import combinatorics
+    from viciouskit.combinatorics import LatticeConfig, count_paths
+
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    packed = "0,2,4,6,8,10,12,14"
+    code, count = run_json(capsys, ["count", "--start", packed, "--end", packed,
+                                    "--time", "4000"])
+    assert code == 0
+    huge = Fraction(3 ** 9001, 2 ** 15001)          # 4295 and 4516 digits
+    monkeypatch.setattr(combinatorics, "survival_probability", lambda m, u: huge)
+    code, survive = run_json(capsys, ["survive", "--start", "0,2", "--time", "2"])
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    u = LatticeConfig(tuple(range(0, 16, 2)))
+    value = count_paths(4000, u, u.positions).value         # 9545 digits
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert count["count"] == str(value)
+        assert survive["probability"]["num"] == str(huge.numerator)
+        assert survive["probability"]["den"] == str(huge.denominator)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
 def test_survival_matches_library(capsys):
     from viciouskit.densities import survival
     import numpy as np

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import inspect
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,8 +15,9 @@ from viciouskit.densities import (ModelSpec, coordinate_cdf, g_density, survival
                                   survival_batch)
 from viciouskit.harness import ks_test, ks_two_sample
 from viciouskit.montecarlo import (PathEnsemble, SimConfig, _bridge_factors, _philox,
-                                   _two_matrix_spectra, endpoint_values, noncollision_mc,
-                                   sample_origin_law, simulate_sde, simulate_walkers)
+                                   _two_matrix_spectra, _walker_steps, endpoint_values,
+                                   noncollision_mc, sample_origin_law, simulate_sde,
+                                   simulate_walkers)
 from viciouskit.rmt import sample_ensemble
 
 
@@ -96,6 +99,40 @@ def test_walker_positions_past_int32_are_exact():
     assert (b.accepted, b.proposed) == (a.accepted, a.proposed)
 
 
+def test_walker_steps_are_the_bounded_int8_draw():
+    # each step is the top bit of one random byte, the bit numpy's bounded
+    # int8 draw on [0, 2) takes; odd byte counts leave half of a 32-bit word
+    # cached, so the two generators must also agree after every draw
+    a, b = _philox(7, 0), _philox(7, 0)
+    for size in [(1,), (3,), (5,), (8,), (4099,), (7, 3, 2), (2, 5, 3)]:
+        want = 2 * a.integers(0, 2, size=size, dtype=np.int8) - 1
+        got = _walker_steps(b, size)
+        assert got.dtype == np.int8 and got.shape == size
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(b.random(4), a.random(4))
+
+
+@pytest.mark.parametrize("start, wall, scale, seed, streams, digest, accepted, proposed", [
+    ((0, 2), False, 8, 1, 1,
+     "465ac77a5bff803f5e9c498d22dcc3b64eb32bf5c965637149659e6ed142616f", 293, 2048),
+    ((8, 16, 24), True, 8, 2, 1,
+     "0a00a5ee1110a7aac9112bab06d20388a3d3e76b1c3b20c55fa54e25b4b14ca8", 219, 2048),
+    ((0, 2, 4), False, 4, 3, 3,
+     "6edae94b22dda965c27e730e41a41195e28935d2163d72c10768688f74df5216", 228, 6144),
+], ids=["free_n2_L8", "wall_n3_L8", "free_n3_L4_streams3"])
+def test_walker_ensembles_are_pinned(start, wall, scale, seed, streams, digest, accepted,
+                                     proposed):
+    # sha256 of the paths and (accepted, proposed): any change to the draws
+    # or to the order checks shows here
+    n = len(start)
+    ens = simulate_walkers(SimConfig("walker", ModelSpec(n, horizon=1.0, wall=wall),
+                                     start=LatticeConfig(start, wall=wall), scale=scale,
+                                     samples=200, seed=seed, streams=streams))
+    h = hashlib.sha256(np.ascontiguousarray(ens.paths).tobytes())
+    h.update(np.array([ens.accepted, ens.proposed], dtype=np.int64).tobytes())
+    assert (h.hexdigest(), ens.accepted, ens.proposed) == (digest, accepted, proposed)
+
+
 def test_walker_stream_with_zero_quota():
     # 2 samples over 3 streams: the third stream's quota is 0, so it draws
     # nothing and the run equals the two-stream run
@@ -110,19 +147,16 @@ def test_walker_stream_with_zero_quota():
     assert (a.accepted, a.proposed) == (b.accepted, b.proposed)
 
 
-@pytest.mark.parametrize("wall", [False, True])
-def test_walker_endpoint_law_is_exact_across_rounds(wall):
-    # m = 40 steps span rounds of 8, 8, 16 and 8 steps; the accepted
-    # endpoints must follow the exact conditioned law count(v) / sum count
-    m = 40
-    u = LatticeConfig((0, 2), wall=wall)
-    ens = simulate_walkers(SimConfig("walker", ModelSpec(2, horizon=float(m), wall=wall),
-                                     start=u, scale=1, samples=4000, seed=17))
+def _endpoint_law_pvalue(u, m, samples, seed):
+    """Chi-square p-value of accepted walker endpoints against count(v) / sum count."""
+    n = len(u)
+    ens = simulate_walkers(SimConfig("walker", ModelSpec(n, horizon=float(m), wall=u.wall),
+                                     start=u, scale=1, samples=samples, seed=seed))
     assert ens.time_grid[-1] == m
-    support = [(a, b) for a in range(-m, m + 1, 2) for b in range(2 - m, m + 3, 2)
-               if a < b and (not wall or a >= 0)]
+    support = [v for v in itertools.product(*(range(p - m, p + m + 1, 2) for p in u.positions))
+               if all(a < b for a, b in zip(v, v[1:])) and (not u.wall or v[0] >= 0)]
     counts = [count_paths(m, u, v).value for v in support]
-    assert sum(counts) == survival_probability(m, u) * 4 ** m
+    assert sum(counts) == survival_probability(m, u) * 2 ** (m * n)
     counts = np.array(counts, dtype=float)
     index = {v: i for i, v in enumerate(support)}
     observed = np.zeros(len(support))
@@ -132,7 +166,23 @@ def test_walker_endpoint_law_is_exact_across_rounds(wall):
     big = expected >= 5                 # pool the small cells into one
     obs = np.append(observed[big], observed[~big].sum())
     exp = np.append(expected[big], expected[~big].sum())
-    assert sps.chisquare(obs, exp).pvalue > 1e-3
+    return sps.chisquare(obs, exp).pvalue
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_walker_endpoint_law_is_exact_across_rounds(wall):
+    # m = 40 steps span rounds of 8, 8, 16 and 8 steps; the accepted
+    # endpoints must follow the exact conditioned law count(v) / sum count
+    assert _endpoint_law_pvalue(LatticeConfig((0, 2), wall=wall), 40, 4000, 17) > 1e-3
+
+
+@pytest.mark.parametrize("start, wall", [((0, 2, 4), False), ((2, 4, 6), True)],
+                         ids=["free", "wall"])
+def test_walker_endpoint_law_is_exact_for_every_pair(start, wall):
+    # N = 3 checks two neighbouring pairs (and the wall) in every round;
+    # m = 18 steps run rounds of 8, 8 and 2.  Behind the wall the start is
+    # (2, 4, 6): from (0, 2, 4) only 1 in 13000 proposals survives
+    assert _endpoint_law_pvalue(LatticeConfig(start, wall=wall), 18, 3000, 23) > 1e-3
 
 
 @pytest.mark.parametrize("wall", [False, True])
@@ -545,6 +595,19 @@ def test_noncollision_trivial_and_exact():
     p2, se2 = noncollision_mc(1.0, (0.0, 1.0), samples=20000, step=0.1, seed=1)
     exact = survival(1.0, np.array([0.0, 1.0]))
     assert abs(p2 - exact) < 3 * se2
+
+
+@pytest.mark.parametrize("t, x, kwargs, want", [
+    (1.0, (0.0, 1.0), dict(samples=4000, step=0.1, seed=3),
+     (0.5015369936304216, 0.007427109361236816)),
+    (0.5, (0.2, 0.7, 1.5), dict(samples=3000, step=0.05, seed=4, wall=True),
+     (0.003219830128207025, 0.0007252219872607692)),
+    (1.0, (0.5,), dict(samples=2000, step=0.1, seed=5, wall=True),
+     (0.3768636473175776, 0.010139102617957006)),
+], ids=["free_n2", "wall_n3", "wall_n1"])
+def test_noncollision_estimates_are_pinned(t, x, kwargs, want):
+    # exact floats: the engine's sums and checks must not reorder
+    assert noncollision_mc(t, x, **kwargs) == want
 
 
 def test_noncollision_requires_interior_wall_start():
