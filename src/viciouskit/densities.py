@@ -100,21 +100,11 @@ def _pairs(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _partner_pairs(n):
-    """Each walker's pairs and its sign in them, read-only (n, n - 1) arrays.
-
-    Row k holds the _pairs(n) index of the pair of walker k with each other
-    walker, in ascending order of that walker, and the sign is +1 where k is
-    the lower walker of the pair.
-    """
-    i, j = _pairs(n)
-    pair = np.empty((n, n), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(len(i))
-    walker, partner = np.nonzero(~np.eye(n, dtype=bool))
-    index = pair[walker, partner].reshape((n, n - 1))
-    sign = np.where(walker < partner, 1.0, -1.0).reshape((n, n - 1))
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
+def _partners(n):
+    """Each walker's partners in ascending order, a read-only (n, n - 1) index array."""
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape((n, n - 1))
+    others.flags.writeable = False
+    return others
 
 
 def _survival_matrix(t, xs, wall, grad=True):
@@ -544,52 +534,103 @@ def coordinate_cdf(spec, t, s):
 # Drifts
 
 
+def _first_bad(xs, bad):
+    """(label, x) of the first row of xs where the batch mask bad holds, for an error message."""
+    row = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
+    return row[0] if len(row) == 1 else row, xs[row]
+
+
+def _check_rows(xs, wall):
+    """Raise ValueError at the first row of xs that is not a chamber point the drift is defined at.
+
+    Rows must be finite and strictly increasing, with x_1 > 0 behind the
+    wall.  The whole batch is checked at once; rows are told apart only to
+    name the first bad one.
+    """
+    gaps = np.diff(xs, axis=-1)
+    if np.isfinite(xs).all() and (gaps > 0).all() and not (wall and (xs[..., 0] <= 0).any()):
+        return
+    ok = np.isfinite(xs).all(axis=-1) & (gaps > 0).all(axis=-1)
+    if wall:
+        ok &= xs[..., 0] > 0
+    label, x = _first_bad(xs, ~ok)
+    why = ("is not finite" if not np.isfinite(x).all() else
+           "is not strictly increasing, where the drift is singular" if (np.diff(x) <= 0).any()
+           else "has x_1 <= 0, on the wall or behind it")
+    raise ValueError("row %s (x = %s) %s: the drift is undefined there" % (label, x, why))
+
+
+def _p_drift(xs, wall):
+    """The p family's drift at rows xs known to be in the chamber, the shape of xs.
+
+    sum_{l != k} 1/(x_k - x_l), plus 1/x_k + sum_{l != k} 1/(x_k + x_l)
+    behind the wall, with no checks: drift_batch checks its rows first, and
+    the Euler steps (montecarlo._em_advance) keep theirs in the chamber.
+    Each sum adds walker k's terms in ascending order of the partner l, one
+    after the other, so a row's drift does not depend on the rows batched
+    with it (but for a batch of one row from nine walkers on, which numpy
+    sums pairwise).  Up to two walkers the partner of walker k is walker
+    1 - k, xs reversed along its last axis, and the sums are written out;
+    from three walkers the terms are gathered batch-last, (n, n - 1, rows),
+    and summed along the partner axis, which costs less there than writing
+    out each pair.
+    """
+    n = xs.shape[-1]
+    if n == 1:
+        return 1.0 / xs if wall else np.zeros(xs.shape)
+    if n == 2:
+        other = xs[..., ::-1]
+        b = 1.0 / (xs - other)
+        if wall:
+            b += 1.0 / xs
+            b += 1.0 / (xs + other)
+        return b
+    x = xs.reshape((-1, n)).T
+    partner = x[_partners(n)]
+    terms = np.subtract(x[:, None], partner, order="C")
+    b = np.divide(1.0, terms, out=terms).sum(axis=1)
+    if wall:
+        np.add(x[:, None], partner, out=terms)
+        b += 1.0 / x
+        b += np.divide(1.0, terms, out=terms).sum(axis=1)
+    return b.T.reshape(xs.shape)
+
+
 def drift(spec, t, x):
     """Drift vector of the conditioned diffusion at time t, at one configuration."""
     return drift_batch(spec, t, _check_chamber(x, spec.wall)[None, :])[0]
 
 
 def drift_batch(spec, t, xs):
-    """Drift evaluated across a batch of configurations (rows strictly ordered).
+    """Drift evaluated across a batch of configurations.
 
     xs holds configurations along its last axis; the drift has the shape
-    of xs.  Finite horizon: the gradient of log survival(T - t, .),
+    of xs.  Every row must be finite and strictly increasing, with x_1 > 0
+    behind the wall; the first row that is not raises ValueError naming it.
+
+    Finite horizon: the gradient of log survival(T - t, .),
     exactly, from d_k log Pf(A) = sum_j (A^-1)_jk dA_kj/dx_k over the
     survival matrix A.  A and D = dA/dx come batch-last, (d, d, b), from
     _survival_matrix, and one Parlett-Reid elimination of A in place,
     M A M^T = B (linalg._skew_eliminate), gives A^-1 = M^T B^-1 M with B
     block-diagonal, so no inverse is formed.  A row whose survival matrix
-    is singular (coincident walkers) raises ValueError.
+    is singular (its float64 pivots underflow) raises ValueError.
 
-    Infinite horizon: the closed interacting form sum_{j != i} 1/(x_i - x_j),
-    plus 1/x_i + sum_{j != i} 1/(x_i + x_j) behind the wall.  The
-    N(N-1)/2 reciprocal gaps 1/(x_i - x_j), i < j (and the reciprocal sums
-    behind the wall) are taken once; each walker gathers its N - 1 of them in
-    partner order, signed by its place in the pair (_partner_pairs), and sums
-    them.  These are the written-out sums' terms in their order, so a row's
-    drift does not depend on the rows batched with it.
+    Infinite horizon: the closed interacting form of _p_drift.
     """
     n, T, wall = spec.n_walkers, spec.horizon, spec.wall
     xs = np.asarray(xs, dtype=float)
-    if wall and np.any(xs[..., 0] <= 0):
-        raise ValueError("configuration lies on the wall (x_1 <= 0): the drift is undefined there")
+    _check_rows(xs, wall)
     if math.isinf(T):
-        i, j = _pairs(n)
-        index, sign = _partner_pairs(n)
-        xi, xj = xs[..., i], xs[..., j]
-        b = ((1.0 / (xi - xj))[..., index] * sign).sum(axis=-1)
-        if wall:
-            b = b + 1.0 / xs + (1.0 / (xi + xj))[..., index].sum(axis=-1)
-        return b
+        return _p_drift(xs, wall)
     if not (t < T):
         raise ValueError("the finite-horizon drift is singular at t = horizon")
     a, d = _survival_matrix(T - t, xs, wall)
     _, pivots, m = linalg._skew_eliminate(a)
-    singular = np.any(pivots == 0.0, axis=0)
+    singular = np.any(pivots == 0.0, axis=0).reshape(xs.shape[:-1])
     if singular.any():
-        row = np.unravel_index(np.argmax(singular), xs.shape[:-1])
         raise ValueError("survival matrix of row %s (x = %s) is singular: the drift is "
-                         "undefined there" % (row[0] if len(row) == 1 else row, xs[row]))
+                         "undefined there" % _first_bad(xs, singular))
     # A^-1 = M^T B^-1 M, where B's 2x2 block [[0, p], [-p, 0]] inverts to
     # [[0, -1/p], [1/p, 0]]: (A^-1)_jk = sum_h (r_hj q_hk - q_hj r_hk) with
     # q_h = M[2h] / p_h and r_h = M[2h+1]; inv_t[k, j] holds (A^-1)_jk

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import LatticeConfig, time_lattice
-from .densities import ModelSpec, _check_chamber, drift_batch
+from .densities import ModelSpec, _check_chamber, _p_drift, drift_batch
 
 __all__ = [
     "SimConfig",
@@ -376,9 +376,12 @@ def _em_advance(spec, x, t, dt, rng, depth=HALVING_BUDGET):
     """One Euler-Maruyama step over [t, t+dt] for every row of x.
 
     Rows whose proposal leaves the chamber are re-advanced over two halved
-    substeps (fresh Gaussian increments) down to the halving budget.
+    substeps (fresh Gaussian increments) down to the halving budget.  The
+    rows of x are chamber points (a checked start or an origin-law draw,
+    then only proposals that pass the checks below), so the p family's
+    drift is the unchecked _p_drift.
     """
-    b = drift_batch(spec, t, x)
+    b = _p_drift(x, spec.wall) if math.isinf(spec.horizon) else drift_batch(spec, t, x)
     prop = x + b * dt + rng.normal(scale=math.sqrt(dt), size=x.shape)
     ok = prop[:, 0] > 0 if spec.wall else np.ones(len(prop), dtype=bool)
     for i in range(x.shape[1] - 1):
@@ -442,9 +445,10 @@ def simulate_sde(cfg):
                 if cols[ptr] == k + 1:
                     rows[:, :, ptr] = x
                     ptr += 1
-    assert np.all(paths[:, 1:, :] > paths[:, :-1, :]), "chamber order violated"
-    if spec.wall:
-        assert np.all(paths[:, 0, :] > 0), "wall positivity violated"
+    if not np.all(paths[:, 1:, :] > paths[:, :-1, :]):
+        raise RuntimeError("chamber order violated")
+    if spec.wall and not np.all(paths[:, 0, :] > 0):
+        raise RuntimeError("wall positivity violated")
     return PathEnsemble(time_grid=times[cols], paths=paths, accepted=cfg.samples,
                         proposed=cfg.samples, config_digest=cfg.digest())
 

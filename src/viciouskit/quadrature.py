@@ -2,6 +2,9 @@
 
 It serves `verify`'s N = 2 normalization checks, which must integrate the density code itself,
 and the tests' references; `densities.coordinate_cdf`'s tables do every other chamber integral.
+The normalization checks run at harness.NORMALIZATION_ORDER (40 nodes per axis), where each of
+their masses is within 1e-13 of its value at order 120; an order-n rule evaluates its integrand
+on n^N points.
 """
 
 import numpy as np

@@ -6,9 +6,10 @@ from scipy import special
 
 from tensor_references import km_chamber_integral
 from viciouskit import linalg
-from viciouskit.densities import (ModelSpec, _survival_matrix, coordinate_cdf, de_bruijn_check,
-                                  drift, drift_batch, g_density, imhof_check, km_density,
-                                  p_density, survival, survival_asymptotics, survival_batch)
+from viciouskit.densities import (ModelSpec, _p_drift, _survival_matrix, coordinate_cdf,
+                                  de_bruijn_check, drift, drift_batch, g_density, imhof_check,
+                                  km_density, p_density, survival, survival_asymptotics,
+                                  survival_batch)
 from viciouskit.harness import ks_test
 from viciouskit.montecarlo import _philox, sample_origin_law
 from viciouskit.quadrature import chamber_integral, ordered_grid
@@ -200,6 +201,44 @@ def test_drift_infinite_horizon_closed_forms(n, wall):
              - math.log(h_hat_poly(xw - eps * np.eye(n)[i]))) / (2 * eps)
             for i in range(n)])
         np.testing.assert_allclose(drift(spec, 0.5, xw), fd, rtol=1e-7)
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_p_drift_is_drift_batch_bit_for_bit(n, wall):
+    # drift_batch's p branch is the unchecked kernel, whatever the batch
+    # shape, and each walker's terms are added one after the other in
+    # ascending partner order, as _loop_drift_p adds them
+    rng = np.random.Generator(np.random.Philox(key=[16, n]))
+    spec = ModelSpec(n, wall=wall)
+    xs = np.sort(rng.uniform(0.05 if wall else -3.0, 3.0, size=(24, n)), axis=1)
+    xs += np.arange(n) * 0.1
+    b = _p_drift(xs, wall)
+    np.testing.assert_array_equal(b, [_loop_drift_p(row, wall) for row in xs])
+    for batch in (xs, xs.reshape(4, 6, n), xs.reshape(24, 1, n), xs[::3], xs[:2]):
+        np.testing.assert_array_equal(drift_batch(spec, 0.5, batch), _p_drift(batch, wall))
+    np.testing.assert_array_equal(drift_batch(spec, 0.5, xs.reshape(4, 6, n)),
+                                  b.reshape(4, 6, n))
+    np.testing.assert_array_equal(drift_batch(spec, 0.5, xs[5]), _p_drift(xs[5], wall))
+
+
+@pytest.mark.parametrize("horizon", [2.0, math.inf])
+@pytest.mark.parametrize("wall, rows, label, why", [
+    (False, [[2.0, 1.0]], "row 0", "not strictly increasing"),
+    (False, [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]], "row 2", "not strictly increasing"),
+    (False, [[0.0, 1.0], [math.nan, 1.0]], "row 1", "not finite"),
+    (False, [[0.0, 1.0], [0.0, math.inf]], "row 1", "not finite"),
+    (True, [[0.5, 1.0], [-0.1, 1.0]], "row 1", "on the wall or behind it"),
+    (True, [[0.5, 1.0, math.nan]], "row 0", "not finite"),
+    (True, [[[0.5, 1.0, 2.0]], [[0.5, 2.0, 1.0]]], r"row \(1, 0\)", "not strictly increasing"),
+])
+def test_drift_batch_rejects_bad_rows(horizon, wall, rows, label, why):
+    # no row outside the open chamber has a drift; unchecked, [[2, 1]] reads
+    # [[1, -1]] (p) and [[0.709, -0.709]] (g), a coincident p row divides by
+    # zero and NaN propagates
+    xs = np.array(rows)
+    with pytest.raises(ValueError, match=label + r" \(x = .*\) .*" + why):
+        drift_batch(ModelSpec(xs.shape[-1], horizon=horizon, wall=wall), 0.5, xs)
 
 
 def test_drift_batch_matches_pointwise():

@@ -127,3 +127,28 @@ def test_verify_all_runs_the_pinned_checks():
     reports = verify_suite("all", 1000, seed=pins["verify_seed_pool"][0])
     assert len(reports) == pins["verify_checks"]
     assert [r.test_name for r in reports if r.verdict != "pass"] == []
+
+
+@pytest.mark.parametrize("name", ["normalization_g_n2", "normalization_p_n2",
+                                  "normalization_g_wall_n2", "normalization_p_wall_n2",
+                                  "gue_density_normalization_n2"])
+def test_normalization_order_has_converged(name):
+    # at NORMALIZATION_ORDER each mass is its order-120 value to 1e-13, and
+    # the check still tells a density off by 2e-6 from a normalized one
+    from viciouskit.quadrature import chamber_integral
+
+    density, lo, hi = harness._normalizations()[name]
+    mass = chamber_integral(density, 2, lo, hi, order=harness.NORMALIZATION_ORDER)
+    assert abs(mass - chamber_integral(density, 2, lo, hi, order=120)) <= 1e-13
+    report = harness._normalization_report(name, density, lo, hi)
+    assert (report.test_name, report.statistic, report.verdict) == (name, abs(mass - 1), "pass")
+    scaled = harness._normalization_report(name, lambda y: density(y) * (1 + 2e-6), lo, hi)
+    assert scaled.verdict == "fail"
+
+
+def test_normalization_checks_run_in_their_suites():
+    # the identities suite opens with the four origin densities, and the rmt
+    # suite holds the GUE one
+    names = list(harness._normalizations())
+    assert [r.test_name for r in verify_suite("identities", 500, seed=0)[:4]] == names[:4]
+    assert names[4] in [r.test_name for r in verify_suite("rmt", 500, seed=0)]

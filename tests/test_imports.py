@@ -96,6 +96,13 @@ def test_private_names_are_used():
     assert _orphans([ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")]) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_holds_no_assert(path):
+    # python -O strips assert statements, so a check the program relies on raises instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
 def _scipy_imports(tree):
     """The scipy modules a tree imports, at module level or inside a function."""
     for node in ast.walk(tree):

@@ -133,6 +133,47 @@ def test_walker_ensembles_are_pinned(start, wall, scale, seed, streams, digest, 
     assert (h.hexdigest(), ens.accepted, ens.proposed) == (digest, accepted, proposed)
 
 
+@pytest.mark.parametrize("n, wall, start, streams, digest", [
+    (1, False, None, 1, "b9cab7ca6747d1109ae73cd67e314a5aedcdc1bd9aa34ab9bbe43e6135c16e0c"),
+    (2, False, None, 1, "72856a79856dbc52aee5aeefa4efed08e2dc957eca55b86acd5748e283b58b40"),
+    (3, False, None, 1, "39802429af77580b923bb9201cb2982f8fa46b359eb09fb598a980e52fab94e8"),
+    (4, False, None, 1, "d30629fd27433ad0339285d9659941f1f5f576e31d7ce3239c70f1237201a2cb"),
+    (1, True, None, 1, "060544f6ace59f5de34338b28e057b2e4e92f43ad40499786898453a24884085"),
+    (2, True, None, 1, "62b67d9c8defa3fd2449603599ecd9acab3d311274c6656daa227c76c4549ef5"),
+    (3, True, None, 1, "e839df7b966c9540c58f49c8171ec6d406f4233e3792035bc815fa4d091ae618"),
+    (2, False, None, 2, "6f992fa07430200f386bd03e2c98dfe55f944ca0c376f77fcdceb432e379c0d5"),
+    (3, False, (-0.5, 0.0, 0.4), 1,
+     "ebb08c2ff765608acfae3e5d8ac3948047dc849f280f0cd885f356a15621687b"),
+    (2, True, (0.1, 0.3), 1, "3e940b315bb04d333d634b2407210d8ae9996175b06e1f0e4cc4f5bb8d724f38"),
+], ids=["free_n1", "free_n2", "free_n3", "free_n4", "wall_n1", "wall_n2", "wall_n3",
+        "free_n2_streams2", "free_n3_interior", "wall_n2_interior"])
+def test_sde_p_paths_are_pinned(n, wall, start, streams, digest):
+    # sha256 of the time grid and the Euler paths, halved steps included (every
+    # run but free N = 1 halves some): any change to the drift's terms, their
+    # order or the draws shows here
+    ens = simulate_sde(SimConfig("sde-p", ModelSpec(n, wall=wall),
+                                 start=None if start is None else np.array(start),
+                                 step=2e-2, t_end=0.6, samples=40, seed=17 + n, streams=streams))
+    h = hashlib.sha256(np.ascontiguousarray(ens.time_grid).tobytes())
+    h.update(np.ascontiguousarray(ens.paths).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("wall, bad, message", [
+    (False, [[0.0, 1.0], [0.5, 0.5]], "chamber order violated"),
+    (True, [[0.2, 1.0], [0.0, 0.5]], "wall positivity violated"),
+])
+def test_simulate_sde_final_check_raises(monkeypatch, wall, bad, message):
+    # the last check of the paths is a RuntimeError, which python -O keeps
+    import viciouskit.montecarlo as mc
+
+    rows = np.array(bad)
+    monkeypatch.setattr(mc, "_em_advance", lambda spec, x, t, dt, rng: rows)
+    with pytest.raises(RuntimeError, match=message):
+        simulate_sde(SimConfig("sde-p", ModelSpec(2, wall=wall), start=np.array([0.3, 1.0]),
+                               step=0.1, t_end=0.2, samples=2))
+
+
 def test_walker_stream_with_zero_quota():
     # 2 samples over 3 streams: the third stream's quota is 0, so it draws
     # nothing and the run equals the two-stream run
