@@ -569,11 +569,11 @@ def _p_drift(xs, wall):
     Each sum adds walker k's terms in ascending order of the partner l, one
     after the other, so a row's drift does not depend on the rows batched
     with it (but for a batch of one row from nine walkers on, which numpy
-    sums pairwise).  Up to two walkers the partner of walker k is walker
-    1 - k, xs reversed along its last axis, and the sums are written out;
-    from three walkers the terms are gathered batch-last, (n, n - 1, rows),
-    and summed along the partner axis, which costs less there than writing
-    out each pair.
+    sums pairwise).  One walker has only the wall term; for two, walker k's
+    partner is walker 1 - k, xs reversed along its last axis, and the sums
+    are written out; from three walkers the terms are gathered batch-last,
+    (n, n - 1, rows), and summed along the partner axis, which costs less
+    there than writing out each pair.
     """
     n = xs.shape[-1]
     if n == 1:
@@ -614,7 +614,7 @@ def drift_batch(spec, t, xs):
     _survival_matrix, and one Parlett-Reid elimination of A in place,
     M A M^T = B (linalg._skew_eliminate), gives A^-1 = M^T B^-1 M with B
     block-diagonal, so no inverse is formed.  A row whose survival matrix
-    is singular (its float64 pivots underflow) raises ValueError.
+    is singular in float64 (a zero pivot) raises ValueError.
 
     Infinite horizon: the closed interacting form of _p_drift.
     """

@@ -335,6 +335,16 @@ def test_coincident_walkers_singular_matrix():
         drift_batch(ModelSpec(3, horizon=1.0, wall=True), 0.2, np.array([[0.5, 1.0, 1.0]]))
 
 
+def test_underflowing_survival_matrix_is_singular():
+    # rows in the chamber whose survival matrix has a zero float64 pivot:
+    # behind the wall, walkers within 1e-200 of it
+    rows = np.array([[0.5, 1.0], [1e-300, 2e-300]])
+    with pytest.raises(ValueError, match=r"survival matrix of row 1 \(x = .*\) is singular"):
+        drift_batch(ModelSpec(2, horizon=1.0, wall=True), 0.2, rows)
+    with pytest.raises(ValueError, match="survival matrix of row 0 .* is singular"):
+        drift_batch(ModelSpec(3, horizon=1.0, wall=True), 0.5, np.array([[1e-200, 2e-200, 3e-200]]))
+
+
 @pytest.mark.parametrize("horizon", [1.0, math.inf])
 def test_drift_rejects_start_on_wall(horizon):
     spec = ModelSpec(2, horizon=horizon, wall=True)
